@@ -46,14 +46,28 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(
+            f"not UTF-8 text: byte 0x{data[exc.start]:02x} cannot be decoded", line_no
+        ) from None
+
+
 def _read_graph(path: str) -> ColoredGraph:
     if path == "-":
-        return read_edge_list(sys.stdin.read())
+        stdin = sys.stdin
+        # a replaced stdin may be a text stream without a byte buffer
+        text = _decode(stdin.buffer.read()) if hasattr(stdin, "buffer") else stdin.read()
+        return read_edge_list(text)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return read_edge_list(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
+    return read_edge_list(_decode(data))
 
 
 def _budget_from_env() -> EnumerationBudget:
@@ -121,41 +135,27 @@ def _cmd_find(args) -> int:
     return _print_report(report, "perfect-matching", args.json)
 
 
+# threshold family -> (parameter count, formula)
+THRESHOLDS = {
+    "path": (1, spanning_path_threshold),
+    "tree": (1, lambda n: ex_forest(n, (n - 1) // 2)),
+    "diam3": (1, lambda n: ex_star(n, (n - 1) // 2)),
+    "linear-forest": (2, ex_linear_forest),
+    "forest": (2, ex_forest),
+    "star": (2, ex_star),
+    "forest-triangle-free": (1, forest_bound_triangle_free),
+    "forest-degenerate": (2, forest_bound_degenerate),
+    "forest-planar": (1, forest_bound_planar),
+}
+
+
 def _cmd_thresholds(args) -> int:
     fam = args.family
     p = args.params
-    try:
-        if fam == "path":
-            (n,) = p
-            value = spanning_path_threshold(n)
-        elif fam == "tree":
-            (n,) = p
-            value = ex_forest(n, (n - 1) // 2)
-        elif fam == "diam3":
-            (n,) = p
-            value = ex_star(n, (n - 1) // 2)
-        elif fam == "linear-forest":
-            n, k = p
-            value = ex_linear_forest(n, k)
-        elif fam == "forest":
-            n, k = p
-            value = ex_forest(n, k)
-        elif fam == "star":
-            n, k = p
-            value = ex_star(n, k)
-        elif fam == "forest-triangle-free":
-            (k,) = p
-            value = forest_bound_triangle_free(k)
-        elif fam == "forest-degenerate":
-            k, d = p
-            value = forest_bound_degenerate(k, d)
-        elif fam == "forest-planar":
-            (k,) = p
-            value = forest_bound_planar(k)
-        else:
-            raise DomainError(f"unknown threshold family {fam!r}")
-    except ValueError:
-        raise DomainError(f"wrong number of parameters for family {fam!r}") from None
+    arity, formula = THRESHOLDS[fam]
+    if len(p) != arity:
+        raise DomainError(f"wrong number of parameters for family {fam!r}: expected {arity}")
+    value = formula(*p)
     if args.json:
         print(json.dumps({"family": fam, "params": p, "value": value}))
     else:
@@ -256,20 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.set_defaults(func=_cmd_find)
 
     p_thr = sub.add_parser("thresholds", help="evaluate an exact threshold formula")
-    p_thr.add_argument(
-        "family",
-        choices=[
-            "path",
-            "tree",
-            "diam3",
-            "linear-forest",
-            "forest",
-            "star",
-            "forest-triangle-free",
-            "forest-degenerate",
-            "forest-planar",
-        ],
-    )
+    p_thr.add_argument("family", choices=list(THRESHOLDS))
     p_thr.add_argument("params", nargs="+", type=int)
     p_thr.add_argument("--json", action="store_true")
     p_thr.set_defaults(func=_cmd_thresholds)

@@ -410,92 +410,113 @@ def _path_report(g, vertices, certificate) -> FindReport:
     return FindReport(True, sub, 0, certificate, 0)
 
 
+def _low(mask: int) -> int:
+    """Index of the lowest set bit of a non-zero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def find_zero_sum_path_leq4(g: ColoredGraph, x: int, y: int) -> FindReport:
     """Zero-sum path of length 2 or 4 between x and y in a complete host.
 
     Follows the anchored case analysis; when that yields nothing (possible
     only below the census threshold) an exhaustive sweep over all short
-    paths decides the answer, so found=False is reliable.
+    paths decides the answer, so found=False is reliable.  Candidates are
+    tried in ascending vertex order throughout, read from the host's kept
+    -1 adjacency masks.
     """
     if not g.is_complete:
         raise DomainError("host must be complete")
     n = g.n
     if not (0 <= x < n and 0 <= y < n) or x == y:
         raise DomainError(f"invalid vertex pair ({x},{y})")
-    cs = census(g)
+    least = census(g).minimum
     need = (n + 2) // 2
-    hyp = f"census min={cs.minimum}, threshold ceil((n+1)/2)={need}: " + (
-        "met" if n >= 6 and cs.minimum >= need else "not met"
+    hyp = f"census min={least}, threshold ceil((n+1)/2)={need}: " + (
+        "met" if n >= 6 and least >= need else "not met"
     )
-    sign = g.sign
-    others = [u for u in range(n) if u not in (x, y)]
-    for u in others:
-        if sign[canonical_edge(x, u)] != sign[canonical_edge(u, y)]:
-            return _path_report(g, [x, u, y], f"length-2 path; {hyp}")
+    minus = g.minus_masks()
+    full = (1 << n) - 1
+    others = full ^ (1 << x) ^ (1 << y)
+    split = (minus[x] ^ minus[y]) & others
+    if split:
+        return _path_report(g, [x, _low(split), y], f"length-2 path; {hyp}")
 
     # every outside vertex sees x and y with one colour; flip so the
-    # +1-anchored side is the larger one (flipping preserves zero sums)
-    work = g
-    a_side = [u for u in others if sign[canonical_edge(x, u)] == 1]
-    if len(a_side) < n - 2 - len(a_side):
-        work = g.flipped()
-    s = work.sign
-    A = [u for u in others if s[canonical_edge(x, u)] == 1]
-    B = [u for u in others if u not in A]
-
-    def path_if_zero(vertices, cert):
-        total = sum(
-            g.sign[canonical_edge(a, b)] for a, b in zip(vertices, vertices[1:])
-        )
-        return _path_report(g, vertices, cert) if total == 0 else None
+    # +1-anchored side is the larger one (flipping preserves zero sums).
+    # neg[u] holds u's -1 neighbours after the flip.
+    a_mask = others & ~minus[x]
+    if 2 * a_mask.bit_count() < n - 2:
+        neg = [full ^ (1 << u) ^ m for u, m in enumerate(minus)]
+        a_mask = others & minus[x]
+    else:
+        neg = minus
+    A = list(_bits(a_mask))
+    B = list(_bits(others ^ a_mask))
 
     if len(B) == 0:
         for v in A:
-            mn = [u for u in A if u != v and s[canonical_edge(u, v)] == -1]
-            if len(mn) >= 2:
-                return _path_report(g, [x, mn[0], v, mn[1], y], f"case-1 path; {hyp}")
+            mn = neg[v] & a_mask
+            if mn.bit_count() >= 2:
+                second = _low(mn & (mn - 1))
+                return _path_report(g, [x, _low(mn), v, second, y], f"case-1 path; {hyp}")
     elif len(B) == 1:
         z = B[0]
-        zm = [u for u in A if s[canonical_edge(z, u)] == -1]
-        if len(zm) >= 2:
-            return _path_report(g, [x, zm[0], z, zm[1], y], f"case-2a path; {hyp}")
-        if len(zm) == 1:
-            u = zm[0]
-            for v in A:
-                if v != u and s[canonical_edge(u, v)] == 1:
-                    return _path_report(g, [x, v, u, z, y], f"case-2b path; {hyp}")
-            rest = [v for v in A if v != u]
-            if len(rest) >= 2:
-                return _path_report(g, [x, rest[0], u, rest[1], y], f"case-2b path; {hyp}")
+        zm = neg[z] & a_mask
+        if zm.bit_count() >= 2:
+            second = _low(zm & (zm - 1))
+            return _path_report(g, [x, _low(zm), z, second, y], f"case-2a path; {hyp}")
+        if zm:
+            u = _low(zm)
+            plus_u = a_mask & ~neg[u] & ~(1 << u)
+            if plus_u:
+                return _path_report(g, [x, _low(plus_u), u, z, y], f"case-2b path; {hyp}")
+            rest = a_mask ^ (1 << u)
+            if rest.bit_count() >= 2:
+                second = _low(rest & (rest - 1))
+                return _path_report(g, [x, _low(rest), u, second, y], f"case-2b path; {hyp}")
         else:
-            for i, u in enumerate(A):
-                for v in A[i + 1 :]:
-                    if s[canonical_edge(u, v)] == -1:
-                        return _path_report(g, [x, u, v, z, y], f"case-2c path; {hyp}")
+            for u in A:
+                later = neg[u] & a_mask & ~((2 << u) - 1)
+                if later:
+                    return _path_report(g, [x, u, _low(later), z, y], f"case-2c path; {hyp}")
     else:
         u, v = A[0], A[1]
         z, w = B[0], B[1]
-        if s[canonical_edge(u, z)] == 1 and s[canonical_edge(u, w)] == 1:
+        if not (neg[u] >> z) & 1 and not (neg[u] >> w) & 1:
             return _path_report(g, [x, z, u, w, y], f"case-3 path; {hyp}")
-        if s[canonical_edge(u, z)] == 1:
+        if not (neg[u] >> z) & 1:
             z, w = w, z
-        if s[canonical_edge(v, u)] == 1:
+        if not (neg[v] >> u) & 1:
             return _path_report(g, [x, v, u, z, y], f"case-3 path; {hyp}")
-        if s[canonical_edge(v, z)] == -1:
+        if (neg[v] >> z) & 1:
             return _path_report(g, [x, v, z, u, y], f"case-3 path; {hyp}")
         return _path_report(g, [x, z, v, u, y], f"case-3 path; {hyp}")
 
-    # complete sweep so a negative answer is trustworthy
-    for a in others:
-        for b in others:
-            if b == a:
-                continue
-            for c in others:
-                if c in (a, b):
-                    continue
-                found = path_if_zero([x, a, b, c, y], f"sweep path; {hyp}")
-                if found:
-                    return found
+    # complete sweep so a negative answer is trustworthy: for each (a, b),
+    # the first c whose edges b-c and c-y bring the -1 count of x-a-b-c-y to 2
+    my = minus[y]
+    for a in _bits(others):
+        ma = (minus[x] >> a) & 1
+        for b in _bits(others ^ (1 << a)):
+            left = 2 - ma - ((minus[a] >> b) & 1)
+            mb = minus[b]
+            if left == 2:
+                ends = mb & my
+            elif left == 1:
+                ends = mb ^ my
+            else:
+                ends = ~(mb | my)
+            ends &= others & ~((1 << a) | (1 << b))
+            if ends:
+                return _path_report(g, [x, a, b, _low(ends), y], f"sweep path; {hyp}")
     return FindReport(False, None, 0, f"no zero-sum path of length <= 4; {hyp}", 0)
 
 

@@ -6,7 +6,10 @@ pairs; the canonical sorted edge order doubles as the bit order used by
 the exhaustive enumeration elsewhere in the package.
 
 All values here are immutable after construction and every operation is
-a pure function, so concurrent readers need no coordination.
+a pure function, so concurrent readers need no coordination.  A
+ColoredGraph computes its census and its -1 adjacency masks the first
+time they are asked for and keeps them; both depend only on its signs,
+so keeping them never changes its value.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ class StackedCertificate:
 class ColoredGraph:
     """Simple graph plus a +-1 sign on every edge."""
 
-    __slots__ = ("n", "edges", "sign", "certificate")
+    # _census and _minus_masks hold derived data, filled on first use
+    __slots__ = ("n", "edges", "sign", "certificate", "_census", "_minus_masks")
 
     def __init__(self, n, signed_edges, certificate=None):
         if n < 0:
@@ -88,6 +92,8 @@ class ColoredGraph:
         object.__setattr__(self, "edges", tuple(sorted(sign)))
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "_census", None)
+        object.__setattr__(self, "_minus_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ColoredGraph is immutable")
@@ -100,6 +106,8 @@ class ColoredGraph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "_census", None)
+        object.__setattr__(self, "_minus_masks", None)
         return self
 
     @classmethod
@@ -130,6 +138,20 @@ class ColoredGraph:
             adj[u].add(v)
             adj[v].add(u)
         return adj
+
+    def minus_masks(self) -> tuple[int, ...]:
+        """Per vertex v, the bitmask whose bit u is set when uv is a -1 edge;
+        computed on first use and kept."""
+        masks = self._minus_masks
+        if masks is None:
+            rows = [0] * self.n
+            for (u, v), c in self.sign.items():
+                if c < 0:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+            masks = tuple(rows)
+            object.__setattr__(self, "_minus_masks", masks)
+        return masks
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -213,10 +235,15 @@ class ColorCensus:
 
 
 def census(g: ColoredGraph) -> ColorCensus:
-    """Count the -1 and +1 edges of g; total_weight = e_plus - e_minus."""
-    e_minus = sum(1 for c in g.sign.values() if c < 0)
-    e_plus = len(g.sign) - e_minus
-    return ColorCensus(e_minus, e_plus, e_plus - e_minus)
+    """Count the -1 and +1 edges of g; total_weight = e_plus - e_minus.
+    Computed on the first call for g and kept by it."""
+    cs = g._census
+    if cs is None:
+        e_minus = sum(1 for c in g.sign.values() if c < 0)
+        e_plus = len(g.sign) - e_minus
+        cs = ColorCensus(e_minus, e_plus, e_plus - e_minus)
+        object.__setattr__(g, "_census", cs)
+    return cs
 
 
 def weight(h: EdgeSubgraph) -> int:
@@ -427,12 +454,22 @@ def read_edge_list(text: str) -> ColoredGraph:
                 vals = body.split(":", 1)[1].split()
                 if len(vals) != 3:
                     raise GraphFormatError("stacked-base needs three vertices", line_no)
-                cert_base = tuple(int(x) for x in vals)
+                try:
+                    cert_base = tuple(int(x) for x in vals)
+                except ValueError:
+                    raise GraphFormatError(
+                        "stacked-base values must be integers", line_no
+                    ) from None
             elif body.startswith("stacked-insert:"):
                 vals = body.split(":", 1)[1].split()
                 if len(vals) != 4:
                     raise GraphFormatError("stacked-insert needs vertex and face", line_no)
-                v, fa, fb, fc = (int(x) for x in vals)
+                try:
+                    v, fa, fb, fc = (int(x) for x in vals)
+                except ValueError:
+                    raise GraphFormatError(
+                        "stacked-insert values must be integers", line_no
+                    ) from None
                 cert_inserts.append((v, (fa, fb, fc)))
             continue
         parts = line.split()

@@ -349,18 +349,46 @@ def _family_masks(theorem: str, n: int, eidx) -> list[int]:
     return [_mask_of(s, eidx) for s in sets]
 
 
-def _check_range(args) -> TheoremReport:
-    theorem, n, lo, hi = args
+def _theorem_table(theorem: str, n: int) -> list:
+    """What a theorem's scan looks up for every colouring: the masks of all
+    family members, or for connected each vertex pair x, y with the mask
+    of the other vertices and the masks of the x..y paths of length 4.
+    Built once per exhaustive_theorem_check call."""
+    eidx = _edge_bit_index(complete_edges(n))
     if theorem == "connected":
-        return _connected_core(n, lo, hi)
-    return _family_core(theorem, n, lo, hi)
+        full = (1 << n) - 1
+        return [
+            (x, y, full ^ (1 << x) ^ (1 << y), _short_path_masks(n, eidx, x, y)[1])
+            for x in range(n)
+            for y in range(x + 1, n)
+        ]
+    return _family_masks(theorem, n, eidx)
 
 
-def _family_core(theorem: str, n: int, lo: int, hi: int) -> TheoremReport:
+def _check_range(theorem: str, n: int, lo: int, hi: int, table: list) -> TheoremReport:
+    if theorem == "connected":
+        return _connected_core(n, lo, hi, table)
+    return _family_core(theorem, n, lo, hi, table)
+
+
+# a pool worker's copy of the parent's table, set by _init_worker; it is
+# inherited through fork, so it is never pickled, and dies with the pool
+_worker_table = None
+
+
+def _init_worker(table: list) -> None:
+    global _worker_table
+    _worker_table = table
+
+
+def _check_chunk(bounds) -> TheoremReport:
+    theorem, n, lo, hi = bounds
+    return _check_range(theorem, n, lo, hi, _worker_table)
+
+
+def _family_core(theorem: str, n: int, lo: int, hi: int, masks: list) -> TheoremReport:
     edges = complete_edges(n)
     m = len(edges)
-    eidx = _edge_bit_index(edges)
-    masks = _family_masks(theorem, n, eidx)
     mt = n - 1  # member edge count
     if mt % 2 == 0:
         t1 = t2 = mt // 2
@@ -451,12 +479,9 @@ def _short_path_masks(n: int, eidx, x: int, y: int):
     return masks2, masks4
 
 
-def _connected_core(n: int, lo: int, hi: int) -> TheoremReport:
+def _connected_core(n: int, lo: int, hi: int, pair_masks: list) -> TheoremReport:
     edges = complete_edges(n)
     m = len(edges)
-    eidx = _edge_bit_index(edges)
-    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    path_masks = [_short_path_masks(n, eidx, x, y) for x, y in pairs]
     need = (n + 2) // 2  # ceil((n+1)/2)
     report = TheoremReport("connected", n, lo, hi)
     ces = report.counterexamples
@@ -465,13 +490,22 @@ def _connected_core(n: int, lo: int, hi: int) -> TheoremReport:
         if e_minus < need or m - e_minus < need:
             continue
         report.hypothesis_met += 1
+        # per vertex, its -1 neighbours: x-u-y has one -1 edge exactly when
+        # u is a -1 neighbour of one of x and y but not of the other
+        minus = [0] * n
+        rest = mask
+        while rest:
+            low = rest & -rest
+            u, v = edges[low.bit_length() - 1]
+            minus[u] |= 1 << v
+            minus[v] |= 1 << u
+            rest ^= low
         g = _graph_from_mask(n, edges, mask)
         ok = True
-        for (x, y), (masks2, masks4) in zip(pairs, path_masks):
-            oracle_hit = any((p & mask).bit_count() == 1 for p in masks2) or any(
+        for x, y, others, masks4 in pair_masks:
+            if not (minus[x] ^ minus[y]) & others and not any(
                 (p & mask).bit_count() == 2 for p in masks4
-            )
-            if not oracle_hit:
+            ):
                 ces.append(
                     {"mask": mask, "pair": [x, y], "reason": "oracle found no short zero-sum path"}
                 )
@@ -517,9 +551,10 @@ def exhaustive_theorem_check(
             f"{hi - lo:,} colourings to check; requires max_colorings >= {hi - lo:,} "
             f"(budget is {budget.max_colorings:,})"
         )
+    table = _theorem_table(theorem, n)
     jobs = max(1, jobs)
     if jobs == 1 or hi - lo < 8192:
-        report = _check_range((theorem, n, lo, hi))
+        report = _check_range(theorem, n, lo, hi, table)
         if emit is not None:
             emit({"type": "progress", "done": hi - lo, "total": hi - lo})
         return report
@@ -529,8 +564,9 @@ def exhaustive_theorem_check(
     chunks = [(a, min(a + step, hi)) for a in range(lo, hi, step)]
     merged = TheoremReport(theorem, n, lo, hi)
     done = 0
-    with get_context("fork").Pool(processes=jobs) as pool:
-        for part in pool.imap(_check_range, [(theorem, n, a, b) for a, b in chunks]):
+    pool = get_context("fork").Pool(processes=jobs, initializer=_init_worker, initargs=(table,))
+    with pool:
+        for part in pool.imap(_check_chunk, [(theorem, n, a, b) for a, b in chunks]):
             merged.hypothesis_met += part.hypothesis_met
             merged.confirmed += part.confirmed
             merged.counterexamples.extend(part.counterexamples)

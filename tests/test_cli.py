@@ -31,6 +31,13 @@ def test_thresholds_bad_params(capsys):
     assert code == 2 and "error" in err
 
 
+def test_thresholds_domain_error_keeps_its_message(capsys):
+    code, _, err = run_cli(capsys, ["thresholds", "path", "1"])
+    assert code == 2 and "need n >= 3" in err and "wrong number" not in err
+    code, _, err = run_cli(capsys, ["thresholds", "forest", "10"])
+    assert code == 2 and "wrong number of parameters" in err
+
+
 def test_extremal_emits_parseable_edge_list(capsys):
     code, out, _ = run_cli(capsys, ["extremal", "connectivity-matching", "6"])
     assert code == 0
@@ -112,6 +119,35 @@ def test_malformed_file_is_exit_2_with_line(capsys, monkeypatch):
     )
     assert code == 2
     assert "line 3" in err and "sign 0" in err
+
+
+NON_UTF8 = b"3 3\n0 1 1\n0 2 -1\n1 2 \xff1\n"
+
+
+def test_non_utf8_file_is_exit_2_with_line(tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(NON_UTF8)
+    code, _, err = run_cli(capsys, ["find", "tree", str(path)])
+    assert code == 2
+    assert err.startswith("error: line 4: not UTF-8") and err.count("\n") == 1
+
+
+def test_non_utf8_stdin_is_exit_2_with_line(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NON_UTF8), encoding="utf-8"))
+    code, _, err = run_cli(capsys, ["find", "tree", "-"])
+    assert code == 2
+    assert err.startswith("error: line 4: not UTF-8") and err.count("\n") == 1
+
+
+def test_bad_stacked_certificate_is_exit_2(capsys, monkeypatch):
+    text = "# stacked-base: 0 1 x\n3 3\n0 1 1\n0 2 -1\n1 2 1\n"
+    code, _, err = run_cli(
+        capsys,
+        ["find", "tree", "-", "--host-class", "planar"],
+        stdin=text,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2 and "line 1" in err and "stacked-base" in err
 
 
 def test_decompose_paths(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -315,6 +316,25 @@ def test_path_leq4_meets_guarantee_when_census_holds():
                 assert report.weight == 0 and len(report.subgraph.edges) in (2, 4)
         checked += 1
     assert checked > 100
+
+
+# SHA-256 over (x, y, sorted edges, weight, certificate) of every vertex
+# pair of every colouring of K_6, recorded from the finder as it was before
+# it read the host's kept -1 masks; any change to its search order shows
+PATH_LEQ4_K6_DIGEST = "5ef1b9cc7bd06c5acab5bf30bfb41a2ae03e05dac0b984c5c39f0dc7d3b75b53"
+
+
+def test_path_leq4_outputs_unchanged_on_every_k6_colouring():
+    n = 6
+    digest = hashlib.sha256()
+    for mask in range(1 << 15):
+        g = complete_from_mask(n, mask)
+        for x in range(n):
+            for y in range(x + 1, n):
+                rep = find_zero_sum_path_leq4(g, x, y)
+                edges = sorted(rep.subgraph.edges) if rep.subgraph is not None else []
+                digest.update(repr((x, y, edges, rep.weight, rep.certificate)).encode())
+    assert digest.hexdigest() == PATH_LEQ4_K6_DIGEST
 
 
 def test_path_leq4_input_validation():

@@ -107,6 +107,31 @@ def test_parity_law_and_flip():
         )
 
 
+def _fresh_minus_masks(g):
+    masks = [0] * g.n
+    for (u, v), c in g.sign.items():
+        if c == -1:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return tuple(masks)
+
+
+def test_kept_census_and_minus_masks_match_fresh_computation():
+    rng = random.Random(23)
+    path = ColoredGraph(5, [(0, 1, -1), (1, 2, 1), (2, 3, -1), (3, 4, -1)])
+    for g in [path] + [random_complete(7, rng) for _ in range(20)]:
+        for h in (g, g.flipped()):
+            e_minus = sum(1 for c in h.sign.values() if c == -1)
+            fresh = ColorCensus(e_minus, len(h.edges) - e_minus, len(h.edges) - 2 * e_minus)
+            assert census(h) == fresh
+            assert census(h) is census(h)
+            assert h.minus_masks() == _fresh_minus_masks(h)
+            assert h.minus_masks() is h.minus_masks()
+        # keeping derived data leaves the value unchanged
+        same = ColoredGraph(g.n, [(u, v, g.sign[(u, v)]) for u, v in g.edges])
+        assert g == same and hash(g) == hash(same)
+
+
 def test_structural_predicates():
     g = ColoredGraph.complete(6)
     star = EdgeSubgraph(g, [(0, i) for i in range(1, 6)])
@@ -206,6 +231,11 @@ def test_edge_list_comments_and_certificate_round_trip():
         ("3 2\n0 1 1\n", "declares 2"),
         ("3 1\n0 1 1\n1 2 1\n", "declares 1"),
         ("3 1\n0 1\n", "u v c"),
+        ("# stacked-base: 0 1 x\n3 1\n0 1 1\n", "line 1: stacked-base values"),
+        (
+            "# stacked-base: 0 1 2\n# stacked-insert: 3 0 1 z\n4 1\n0 1 1\n",
+            "line 2: stacked-insert values",
+        ),
     ],
 )
 def test_edge_list_errors(text, fragment):

@@ -1,9 +1,11 @@
 import itertools
+import os
 import random
 
 import pytest
 
 from conftest import complete_from_mask, random_complete
+from zerosum import oracle
 from zerosum.errors import BudgetExceeded, DomainError
 from zerosum.families import Diam3Trees, HamiltonianPaths, SpanningTrees
 from zerosum.graphs import ColoredGraph, is_spanning_tree, tree_diameter, weight
@@ -131,6 +133,34 @@ def test_jobs_match_single_process():
         multi.hypothesis_met,
         multi.confirmed,
     )
+
+
+def test_family_table_is_built_once_in_the_parent(monkeypatch):
+    parent = os.getpid()
+    calls = []
+    build = oracle._family_masks
+
+    def parent_only(*args):
+        if os.getpid() != parent:
+            raise AssertionError("family table built in a worker process")
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "_family_masks", parent_only)
+    shard = (8192, 16384)
+    multi = exhaustive_theorem_check("tree", 6, jobs=2, shard=shard)
+    assert len(calls) == 1
+    single = exhaustive_theorem_check("tree", 6, shard=shard)
+    assert multi.passed and multi.hypothesis_met > 0
+    assert (multi.hypothesis_met, multi.confirmed) == (single.hypothesis_met, single.confirmed)
+
+
+def test_connected_jobs_match_single_process():
+    shard = (16384, 24576)
+    single = exhaustive_theorem_check("connected", 6, shard=shard)
+    multi = exhaustive_theorem_check("connected", 6, jobs=2, shard=shard)
+    assert single.passed and multi.passed
+    assert (single.hypothesis_met, single.confirmed) == (multi.hypothesis_met, multi.confirmed)
 
 
 def test_connected_n5_finds_the_known_counterexample():
