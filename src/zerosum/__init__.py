@@ -30,6 +30,7 @@ from .families import (
     ExchangeChain,
     FamilyKind,
     HamiltonianPaths,
+    PerfectMatchings,
     SpanningTrees,
     diam3_exchange_chain,
     hampath_exchange_chain,
@@ -65,7 +66,6 @@ from .finders import (
 )
 from .oracle import (
     EnumerationBudget,
-    PerfectMatchings,
     TheoremReport,
     enumerate_family,
     exhaustive_theorem_check,

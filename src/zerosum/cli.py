@@ -31,13 +31,13 @@ from .graphs import (
 )
 from .oracle import EnumerationBudget, exhaustive_theorem_check
 from .thresholds import (
+    GUARANTEES,
     ex_forest,
     ex_linear_forest,
     ex_star,
     forest_bound_degenerate,
     forest_bound_planar,
     forest_bound_triangle_free,
-    spanning_path_threshold,
 )
 
 EXIT_FOUND = 0
@@ -108,16 +108,9 @@ def _print_report(report: finders.FindReport, kind: str, as_json: bool) -> int:
 def _cmd_find(args) -> int:
     g = _read_graph(args.file)
     if args.what == "tree":
-        if args.host_class == "complete":
-            host_class = COMPLETE
-        elif args.host_class == "triangle-free":
-            host_class = TRIANGLE_FREE
-        elif args.host_class == "dtree":
-            if args.d is None:
-                raise DomainError("--d is required with --host-class dtree")
-            host_class = DTree(args.d)
-        else:
-            host_class = MAXIMAL_PLANAR_STACKED
+        if args.host_class == "dtree" and args.d is None:
+            raise DomainError("--d is required with --host-class dtree")
+        host_class = HOST_CLASSES[args.host_class](args.d)
         report = finders.find_zero_sum_spanning_tree(g, host_class)
         return _print_report(report, "spanning-tree", args.json)
     if args.what == "path":
@@ -135,11 +128,20 @@ def _cmd_find(args) -> int:
     return _print_report(report, "perfect-matching", args.json)
 
 
-# threshold family -> (parameter count, formula)
+# --host-class choice -> host class, given --d
+HOST_CLASSES = {
+    "complete": lambda d: COMPLETE,
+    "triangle-free": lambda d: TRIANGLE_FREE,
+    "dtree": DTree,
+    "planar": lambda d: MAXIMAL_PLANAR_STACKED,
+}
+
+# threshold family -> (parameter count, formula); path, tree and diam3
+# are the census bounds of the guarantees on K_n
 THRESHOLDS = {
-    "path": (1, spanning_path_threshold),
-    "tree": (1, lambda n: ex_forest(n, (n - 1) // 2)),
-    "diam3": (1, lambda n: ex_star(n, (n - 1) // 2)),
+    "path": (1, GUARANTEES["path-census", "complete"].threshold),
+    "tree": (1, GUARANTEES["tree", "complete"].threshold),
+    "diam3": (1, GUARANTEES["diam3", "complete"].threshold),
     "linear-forest": (2, ex_linear_forest),
     "forest": (2, ex_forest),
     "star": (2, ex_star),
@@ -246,11 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("what", choices=["tree", "path", "diam3", "connect", "matching"])
     p_find.add_argument("file", help="edge-list file, or - for stdin")
     p_find.add_argument("--pair", nargs=2, type=int, metavar=("X", "Y"))
-    p_find.add_argument(
-        "--host-class",
-        choices=["complete", "triangle-free", "dtree", "planar"],
-        default="complete",
-    )
+    p_find.add_argument("--host-class", choices=list(HOST_CLASSES), default="complete")
     p_find.add_argument("--d", type=int, help="degeneracy for --host-class dtree")
     p_find.add_argument("--json", action="store_true")
     p_find.set_defaults(func=_cmd_find)

@@ -28,7 +28,8 @@ from .graphs import (
     complete_edges,
     weight,
 )
-from .oracle import EnumerationBudget, enumerate_family, spanning_tree_count
+from .families import spanning_tree_count
+from .oracle import EnumerationBudget, enumerate_family
 from .thresholds import (
     ex_forest,
     ex_linear_forest,

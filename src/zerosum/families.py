@@ -7,73 +7,36 @@ members are joined by a chain of single edge replacements that stays
 inside the family; walking such a chain moves the signed weight in steps
 of 0 or +-2, which is what makes weight interpolation work.
 
-Matchings are deliberately not a family here: copies of a perfect
-matching in K_{4n} are not connected under single edge replacements, so
-no chain construction exists for them.
+Each family is an object bound to its host that carries its membership
+test, its chain walk, its closed-form member count, a generator of its
+members' edge sets, the EnumerationBudget field that caps that
+enumeration and the name of its census guarantee on K_n in
+thresholds.GUARANTEES.  Perfect matchings are an enumeration-only kind with the
+same interface minus the chain: copies of a perfect matching in K_{4n}
+are not connected under single edge replacements, so no chain
+construction exists for them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import ClassVar, Iterator, Union
 
 from .errors import DomainError
 from .graphs import (
     ColoredGraph,
     EdgeSubgraph,
+    binomial,
     canonical_edge,
     is_hamiltonian_path,
+    is_matching,
     is_spanning_tree,
     tree_diameter,
     weight,
 )
-
-
-@dataclass(frozen=True)
-class SpanningTrees:
-    host: ColoredGraph
-
-    def __post_init__(self):
-        if not self.host.is_connected():
-            raise DomainError("spanning-tree family requires a connected host")
-
-
-@dataclass(frozen=True)
-class HamiltonianPaths:
-    host: ColoredGraph
-
-    def __post_init__(self):
-        if not self.host.is_complete:
-            raise DomainError("Hamiltonian-path family requires a complete host")
-
-
-@dataclass(frozen=True)
-class Diam3Trees:
-    host: ColoredGraph
-
-    def __post_init__(self):
-        if not self.host.is_complete:
-            raise DomainError("diameter-3 tree family requires a complete host")
-
-
-FamilyKind = Union[SpanningTrees, HamiltonianPaths, Diam3Trees]
-
-
-def member_edge_count(kind: FamilyKind) -> int:
-    return kind.host.n - 1
-
-
-def member_of(kind: FamilyKind, h: EdgeSubgraph) -> bool:
-    if not (h.host is kind.host or h.host == kind.host):
-        return False
-    if isinstance(kind, SpanningTrees):
-        return is_spanning_tree(h)
-    if isinstance(kind, HamiltonianPaths):
-        return is_hamiltonian_path(h)
-    if isinstance(kind, Diam3Trees):
-        return is_spanning_tree(h) and tree_diameter(h) <= 3
-    raise DomainError(f"unknown family kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -342,18 +305,275 @@ def diam3_exchange_chain(t_from: EdgeSubgraph, t_to: EdgeSubgraph) -> ExchangeCh
     return chain
 
 
+# --- family objects ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SpanningTrees:
+    host: ColoredGraph
+    guarantee: ClassVar[str] = "tree"
+    budget_field: ClassVar[str] = "max_spanning_trees"
+
+    def __post_init__(self):
+        if not self.host.is_connected():
+            raise DomainError("spanning-tree family requires a connected host")
+
+    def is_member(self, h: EdgeSubgraph) -> bool:
+        return is_spanning_tree(h)
+
+    chain = staticmethod(_tree_chain)
+
+    def count(self) -> int:
+        return spanning_tree_count(self.host)
+
+    def edge_sets(self) -> Iterator[frozenset]:
+        if self.host.is_complete:
+            return _complete_tree_edge_sets(self.host.n)
+        return _generic_tree_edge_sets(self.host)
+
+
+@dataclass(frozen=True)
+class HamiltonianPaths:
+    host: ColoredGraph
+    guarantee: ClassVar[str] = "path-census"
+    budget_field: ClassVar[str] = "max_paths"
+
+    def __post_init__(self):
+        if not self.host.is_complete:
+            raise DomainError("Hamiltonian-path family requires a complete host")
+
+    def is_member(self, h: EdgeSubgraph) -> bool:
+        return is_hamiltonian_path(h)
+
+    chain = staticmethod(_hampath_chain)
+
+    def count(self) -> int:
+        return hamiltonian_path_count(self.host.n)
+
+    def edge_sets(self) -> Iterator[frozenset]:
+        return _hampath_edge_sets(self.host.n)
+
+
+@dataclass(frozen=True)
+class Diam3Trees:
+    host: ColoredGraph
+    guarantee: ClassVar[str] = "diam3"
+    budget_field: ClassVar[str] = "max_spanning_trees"
+
+    def __post_init__(self):
+        if not self.host.is_complete:
+            raise DomainError("diameter-3 tree family requires a complete host")
+
+    def is_member(self, h: EdgeSubgraph) -> bool:
+        return is_spanning_tree(h) and tree_diameter(h) <= 3
+
+    chain = staticmethod(_diam3_chain)
+
+    def count(self) -> int:
+        return diam3_tree_count(self.host.n)
+
+    def edge_sets(self) -> Iterator[frozenset]:
+        return _diam3_edge_sets(self.host.n)
+
+
+@dataclass(frozen=True)
+class PerfectMatchings:
+    """Enumeration-only kind for perfect matchings of a complete host.
+
+    Not a FamilyKind: matchings are not connected under single edge
+    replacements, so no exchange chain exists for them.
+    """
+
+    host: ColoredGraph
+    budget_field: ClassVar[str] = "max_matchings"
+
+    def __post_init__(self):
+        if not self.host.is_complete or self.host.n % 2 != 0:
+            raise DomainError("perfect matchings need a complete host of even order")
+
+    def is_member(self, h: EdgeSubgraph) -> bool:
+        return is_matching(h) and len(h.edges) == self.host.n // 2
+
+    def count(self) -> int:
+        return perfect_matching_count(self.host.n)
+
+    def edge_sets(self) -> Iterator[frozenset]:
+        return _matching_edge_sets(self.host.n)
+
+
+FamilyKind = Union[SpanningTrees, HamiltonianPaths, Diam3Trees]
+
+
+def member_of(kind: FamilyKind, h: EdgeSubgraph) -> bool:
+    return (h.host is kind.host or h.host == kind.host) and kind.is_member(h)
+
+
+# --- closed-form counts --------------------------------------------------------
+
+
+def spanning_tree_count(g: ColoredGraph) -> int:
+    """Number of spanning trees: n^(n-2) for K_n, else an integer
+    Laplacian-minor determinant (fraction-free elimination)."""
+    n = g.n
+    if n <= 1:
+        return 1
+    if g.is_complete:
+        return n ** (n - 2)
+    if not g.is_connected():
+        return 0
+    size = n - 1
+    lap = [[0] * size for _ in range(size)]
+    for u, v in g.edges:
+        if u < size:
+            lap[u][u] += 1
+        if v < size:
+            lap[v][v] += 1
+        if u < size and v < size:
+            lap[u][v] -= 1
+            lap[v][u] -= 1
+    # Bareiss; pivots stay positive because the reduced Laplacian of a
+    # connected graph is positive definite
+    prev = 1
+    for k in range(size - 1):
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                lap[i][j] = (lap[i][j] * lap[k][k] - lap[i][k] * lap[k][j]) // prev
+        prev = lap[k][k]
+    return lap[size - 1][size - 1]
+
+
+def hamiltonian_path_count(n: int) -> int:
+    return 1 if n <= 1 else math.factorial(n) // 2
+
+
+def diam3_tree_count(n: int) -> int:
+    if n <= 2:
+        return 1
+    return n + binomial(n, 2) * (2 ** (n - 2) - 2)
+
+
+def perfect_matching_count(n: int) -> int:
+    if n % 2 != 0:
+        return 0
+    return math.prod(range(1, n, 2))
+
+
+# --- member edge sets -------------------------------------------------------------
+
+
+def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    ptr = 0
+    while degree[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for x in seq:
+        edges.append(canonical_edge(leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append(canonical_edge(leaf, n - 1))
+    return edges
+
+
+def _complete_tree_edge_sets(n: int) -> Iterator[frozenset]:
+    if n <= 1:
+        yield frozenset()
+        return
+    for seq in itertools.product(range(n), repeat=n - 2):
+        yield frozenset(_prufer_edges(seq, n))
+
+
+def _generic_tree_edge_sets(g: ColoredGraph) -> Iterator[frozenset]:
+    """Spanning trees of an arbitrary connected host, each exactly once:
+    include/exclude recursion over canonical edge order with a
+    connectivity-feasibility prune on the exclude branch."""
+    n = g.n
+    edges = list(g.edges)
+    m = len(edges)
+
+    def find(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def rec(idx, parent, chosen):
+        if len(chosen) == n - 1:
+            yield frozenset(chosen)
+            return
+        if m - idx < (n - 1) - len(chosen):
+            return
+        # excluding everything before idx must still leave the host connectable
+        probe = parent.copy()
+        merges = 0
+        for e in edges[idx:]:
+            ru, rv = find(probe, e[0]), find(probe, e[1])
+            if ru != rv:
+                probe[rv] = ru
+                merges += 1
+        if merges < (n - 1) - len(chosen):
+            return
+        u, v = edges[idx]
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            child = parent.copy()
+            child[rv] = ru
+            yield from rec(idx + 1, child, chosen + [edges[idx]])
+        yield from rec(idx + 1, parent, chosen)
+
+    yield from rec(0, list(range(n)), [])
+
+
+def _hampath_edge_sets(n: int) -> Iterator[frozenset]:
+    if n <= 1:
+        yield frozenset()
+        return
+    for perm in itertools.permutations(range(n)):
+        if perm[0] > perm[-1]:
+            continue
+        yield frozenset(canonical_edge(a, b) for a, b in zip(perm, perm[1:]))
+
+
+def _diam3_edge_sets(n: int) -> Iterator[frozenset]:
+    if n <= 2:
+        yield from _complete_tree_edge_sets(n)
+        return
+    for c in range(n):
+        yield frozenset(canonical_edge(c, x) for x in range(n) if x != c)
+    for u in range(n):
+        for v in range(u + 1, n):
+            rest = [x for x in range(n) if x not in (u, v)]
+            for pick in range(1, (1 << len(rest)) - 1):
+                edges = {canonical_edge(u, v)}
+                for i, x in enumerate(rest):
+                    edges.add(canonical_edge(u, x) if (pick >> i) & 1 else canonical_edge(v, x))
+                yield frozenset(edges)
+
+
+def _matching_edge_sets(n: int) -> Iterator[frozenset]:
+    verts = list(range(n))
+
+    def rec(pool, acc):
+        if not pool:
+            yield frozenset(acc)
+            return
+        u = pool[0]
+        for i in range(1, len(pool)):
+            v = pool[i]
+            yield from rec(pool[1:i] + pool[i + 1 :], acc + [(u, v)])
+
+    yield from rec(verts, [])
+
+
 # --- interpolation ------------------------------------------------------------
-
-
-def chain_steps(kind: FamilyKind, h_from: EdgeSubgraph, h_to: EdgeSubgraph) -> Iterator[EdgeSubgraph]:
-    """Lazy chain walk for the given family kind."""
-    if isinstance(kind, SpanningTrees):
-        return _tree_chain(h_from, h_to)
-    if isinstance(kind, HamiltonianPaths):
-        return _hampath_chain(h_from, h_to)
-    if isinstance(kind, Diam3Trees):
-        return _diam3_chain(h_from, h_to)
-    raise DomainError(f"unknown family kind {kind!r}")
 
 
 def interpolate_traced(
@@ -380,13 +600,12 @@ def interpolate_traced(
     if w_hi < 0:
         raise DomainError(f"no endpoint with weight >= 0: weights are {w_lo}, {w_hi}")
     replacements = 0
-    for step in chain_steps(kind, h_lo, h_hi):
+    for step in kind.chain(h_lo, h_hi):
         if collect is not None:
             collect.append(step)
         w = weight(step)
         if abs(w) <= 1:
-            m = member_edge_count(kind)
-            assert w == 0 if m % 2 == 0 else abs(w) == 1
+            assert w == 0 if (kind.host.n - 1) % 2 == 0 else abs(w) == 1
             return step, replacements
         replacements += 1
     raise AssertionError("chain ended without crossing zero")  # unreachable

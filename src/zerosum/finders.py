@@ -22,12 +22,8 @@ from .families import (
 )
 from .graphs import (
     COMPLETE,
-    Complete,
     ColoredGraph,
-    DTree,
     EdgeSubgraph,
-    MaximalPlanarStacked,
-    TriangleFree,
     UnionFind,
     canonical_edge,
     census,
@@ -38,14 +34,7 @@ from .graphs import (
     tree_diameter,
     weight,
 )
-from .thresholds import (
-    ex_forest,
-    ex_star,
-    forest_bound_degenerate,
-    forest_bound_planar,
-    forest_bound_triangle_free,
-    spanning_path_threshold,
-)
+from .thresholds import GUARANTEES
 
 
 @dataclass(frozen=True)
@@ -100,51 +89,6 @@ def _validated(sub: EdgeSubgraph, predicate, certificate: str, replacements: int
     return FindReport(True, sub, w, certificate, replacements)
 
 
-def _spanning_tree_hypothesis(g: ColoredGraph, host_class):
-    """Return (holds, k, description) for the spanning-tree guarantee on
-    the given host class; raises DomainError when g is not in the class."""
-    n = g.n
-    cs = census(g)
-    if isinstance(host_class, Complete):
-        if not g.is_complete:
-            raise DomainError("host is not complete")
-        k = (n - 1) // 2
-        bound = ex_forest(n, k) if k >= 1 else 0
-        return cs.minimum > bound, k, (
-            f"complete host: min{{e(-1),e(1)}}={cs.minimum} needs > {bound}"
-        )
-    if isinstance(host_class, TriangleFree):
-        if not host_class_check(g, host_class):
-            raise DomainError("host is not triangle-free")
-        k = n // 2
-        bound = forest_bound_triangle_free(k)
-        return cs.minimum > bound, k, (
-            f"triangle-free host: min{{e(-1),e(1)}}={cs.minimum} needs > {bound}"
-        )
-    if isinstance(host_class, DTree):
-        if not host_class_check(g, host_class):
-            raise DomainError(f"host is not a {host_class.d}-tree")
-        if n < 2 * host_class.d + 2:
-            raise DomainError(f"{host_class.d}-tree guarantee needs n >= {2 * host_class.d + 2}")
-        k = (n - 1) // 2
-        bound = forest_bound_degenerate(k, host_class.d)
-        return cs.minimum > bound, k, (
-            f"{host_class.d}-tree host: min{{e(-1),e(1)}}={cs.minimum} needs > {bound}"
-        )
-    if isinstance(host_class, MaximalPlanarStacked):
-        if not host_class_check(g, host_class):
-            raise DomainError("host is not a certified stacked maximal planar graph")
-        if n < 7:
-            raise DomainError("stacked-planar guarantee needs n >= 7")
-        k = (n - 1) // 2
-        bound = forest_bound_planar(k)
-        # this guarantee is stated with >=, not strict
-        return cs.minimum >= bound, k, (
-            f"stacked-planar host: min{{e(-1),e(1)}}={cs.minimum} needs >= {bound}"
-        )
-    raise DomainError(f"unsupported host class {host_class!r}")
-
-
 def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindReport:
     """Spanning tree with |weight| <= 1, certified by the census threshold
     of the host class."""
@@ -152,7 +96,19 @@ def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindRep
         raise DomainError("need at least 2 vertices")
     if not g.is_connected():
         raise DomainError("host must be connected")
-    holds, k, descr = _spanning_tree_hypothesis(g, host_class)
+    guarantee = GUARANTEES.get(("tree", getattr(host_class, "name", None)))
+    if guarantee is None:
+        raise DomainError(f"unsupported host class {host_class!r}")
+    d = getattr(host_class, "d", 0)
+    if not host_class_check(g, host_class):
+        raise DomainError(f"host is not {guarantee.host.format(d=d)}")
+    n = g.n
+    if n < guarantee.min_n(d):
+        raise DomainError(
+            f"{guarantee.label.format(d=d)} guarantee needs n >= {guarantee.min_n(d)}"
+        )
+    k = guarantee.k(n)
+    holds, descr = guarantee.condition(n, census(g).minimum, d)
     if not holds:
         return FindReport(False, None, 0, f"hypothesis not met: {descr}", 0)
     f_minus = extract_monochromatic_forest(g, -1, k)
@@ -321,21 +277,19 @@ def find_zero_sum_spanning_path(g: ColoredGraph, fallback_max_n: int = 12) -> Fi
             )
         routes.append("cycle-decomposition route failed: all part weights one-signed")
 
-    cs = census(g)
-    if n < 3:
-        routes.append("census route needs n >= 3")
+    guarantee = GUARANTEES["path-census", "complete"]
+    if n < guarantee.min_n(0):
+        routes.append(f"census route needs n >= {guarantee.min_n(0)}")
     else:
-        threshold = spanning_path_threshold(n)
-        if cs.minimum <= threshold:
-            routes.append(
-                f"census threshold not met: min{{e(-1),e(1)}}={cs.minimum} <= {threshold}"
-            )
+        holds, text = guarantee.condition(n, census(g).minimum)
+        if not holds:
+            routes.append(text)
         elif n > fallback_max_n:
             routes.append(
                 f"census threshold met but search skipped: n={n} > budget {fallback_max_n}"
             )
         else:
-            k = (n - 1) // 2
+            k = guarantee.k(n)
             lf_minus = _find_linear_forest(g, -1, k)
             lf_plus = _find_linear_forest(g, 1, k)
             if lf_minus is None or lf_plus is None:
@@ -366,13 +320,12 @@ def find_zero_sum_diam3_tree(g: ColoredGraph) -> FindReport:
     if not g.is_complete:
         raise DomainError("host must be complete")
     n = g.n
-    if n < 3:
-        raise DomainError("need at least 3 vertices")
-    k = (n - 1) // 2
-    bound = ex_star(n, k) if k >= 1 else 0
-    cs = census(g)
-    descr = f"min{{e(-1),e(1)}}={cs.minimum} needs > {bound} = floor(n/2*floor((n-3)/2))"
-    if cs.minimum <= bound:
+    guarantee = GUARANTEES["diam3", "complete"]
+    if n < guarantee.min_n(0):
+        raise DomainError(f"need at least {guarantee.min_n(0)} vertices")
+    k = guarantee.k(n)
+    holds, descr = guarantee.condition(n, census(g).minimum)
+    if not holds:
         return FindReport(False, None, 0, f"hypothesis not met: {descr}", 0)
     # a colour class larger than the star threshold has a vertex carrying
     # at least k incident edges of that colour
@@ -437,11 +390,8 @@ def find_zero_sum_path_leq4(g: ColoredGraph, x: int, y: int) -> FindReport:
     n = g.n
     if not (0 <= x < n and 0 <= y < n) or x == y:
         raise DomainError(f"invalid vertex pair ({x},{y})")
-    least = census(g).minimum
-    need = (n + 2) // 2
-    hyp = f"census min={least}, threshold ceil((n+1)/2)={need}: " + (
-        "met" if n >= 6 and least >= need else "not met"
-    )
+    met, text = GUARANTEES["connected", "complete"].condition(n, census(g).minimum)
+    hyp = f"{text}: " + ("met" if met else "not met")
     minus = g.minus_masks()
     full = (1 << n) - 1
     others = full ^ (1 << x) ^ (1 << y)

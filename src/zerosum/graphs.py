@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import DomainError, GraphFormatError
 
@@ -156,6 +157,8 @@ class ColoredGraph:
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
+        if len(self.edges) < self.n - 1:
+            return False
         uf = UnionFind(self.n)
         merges = 0
         for u, v in self.edges:
@@ -318,26 +321,29 @@ def tree_diameter(h: EdgeSubgraph) -> int:
 
 
 # --- host classes -----------------------------------------------------------
+#
+# A host class's name is its key in the guarantee table and its CLI choice.
 
 
 @dataclass(frozen=True)
 class Complete:
-    pass
+    name: ClassVar[str] = "complete"
 
 
 @dataclass(frozen=True)
 class TriangleFree:
-    pass
+    name: ClassVar[str] = "triangle-free"
 
 
 @dataclass(frozen=True)
 class DTree:
     d: int
+    name: ClassVar[str] = "dtree"
 
 
 @dataclass(frozen=True)
 class MaximalPlanarStacked:
-    pass
+    name: ClassVar[str] = "planar"
 
 
 COMPLETE = Complete()
@@ -438,9 +444,10 @@ def host_class_check(g: ColoredGraph, host_class) -> bool:
 
 
 def read_edge_list(text: str) -> ColoredGraph:
+    """Parse the edge-list format; every error is a GraphFormatError naming
+    its line, so the graph is built without checking the edges again."""
     header = None
-    rows = []
-    seen_edges = set()
+    sign: dict[tuple[int, int], int] = {}
     cert_base = None
     cert_inserts = []
     declared_m = None
@@ -499,20 +506,19 @@ def read_edge_list(text: str) -> ColoredGraph:
         if not (0 <= u < header[0] and 0 <= v < header[0]):
             raise GraphFormatError(f"vertex out of range in edge ({u},{v})", line_no)
         e = canonical_edge(u, v)
-        if e in seen_edges:
+        if e in sign:
             raise GraphFormatError(f"duplicate edge {e}", line_no)
-        seen_edges.add(e)
-        rows.append((u, v, c))
+        sign[e] = c
     if header is None:
         raise GraphFormatError("empty input: missing header line", 1)
-    if len(rows) != declared_m:
+    if len(sign) != declared_m:
         raise GraphFormatError(
-            f"header declares {declared_m} edges but {len(rows)} were given", 1
+            f"header declares {declared_m} edges but {len(sign)} were given", 1
         )
     certificate = None
     if cert_base is not None:
         certificate = StackedCertificate(cert_base, tuple(cert_inserts))
-    return ColoredGraph(header[0], rows, certificate=certificate)
+    return ColoredGraph._unchecked(header[0], tuple(sorted(sign)), sign, certificate)
 
 
 def write_edge_list(g: ColoredGraph, header_comments=()) -> str:

@@ -14,27 +14,15 @@ their reports merge associatively.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Iterator, Optional, Union
 
 from . import finders
 from .errors import BudgetExceeded, DomainError
-from .families import Diam3Trees, FamilyKind, HamiltonianPaths, SpanningTrees
-from .graphs import (
-    ColoredGraph,
-    EdgeSubgraph,
-    binomial,
-    canonical_edge,
-    complete_edges,
-    is_hamiltonian_path,
-    is_matching,
-    is_spanning_tree,
-    tree_diameter,
-)
-from .thresholds import ex_forest, ex_star, spanning_path_threshold
+from .families import Diam3Trees, FamilyKind, HamiltonianPaths, PerfectMatchings, SpanningTrees
+from .graphs import ColoredGraph, EdgeSubgraph, binomial, canonical_edge, complete_edges
+from .thresholds import GUARANTEES, decomposition_bound
 
 
 @dataclass(frozen=True)
@@ -53,198 +41,6 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-@dataclass(frozen=True)
-class PerfectMatchings:
-    """Enumeration tag for perfect matchings of a complete host.
-
-    Not a FamilyKind: matchings are not connected under single edge
-    replacements, so no exchange chain exists for them.
-    """
-
-    host: ColoredGraph
-
-    def __post_init__(self):
-        if not self.host.is_complete or self.host.n % 2 != 0:
-            raise DomainError("perfect matchings need a complete host of even order")
-
-
-# --- closed-form counts --------------------------------------------------------
-
-
-def spanning_tree_count(g: ColoredGraph) -> int:
-    """Number of spanning trees: n^(n-2) for K_n, else an integer
-    Laplacian-minor determinant (fraction-free elimination)."""
-    n = g.n
-    if n <= 1:
-        return 1
-    if g.is_complete:
-        return n ** (n - 2)
-    if not g.is_connected():
-        return 0
-    size = n - 1
-    lap = [[0] * size for _ in range(size)]
-    for u, v in g.edges:
-        if u < size:
-            lap[u][u] += 1
-        if v < size:
-            lap[v][v] += 1
-        if u < size and v < size:
-            lap[u][v] -= 1
-            lap[v][u] -= 1
-    # Bareiss; pivots stay positive because the reduced Laplacian of a
-    # connected graph is positive definite
-    prev = 1
-    for k in range(size - 1):
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                lap[i][j] = (lap[i][j] * lap[k][k] - lap[i][k] * lap[k][j]) // prev
-        prev = lap[k][k]
-    return lap[size - 1][size - 1]
-
-
-def hamiltonian_path_count(n: int) -> int:
-    return 1 if n <= 1 else math.factorial(n) // 2
-
-
-def diam3_tree_count(n: int) -> int:
-    if n <= 2:
-        return 1
-    return n + binomial(n, 2) * (2 ** (n - 2) - 2)
-
-
-def perfect_matching_count(n: int) -> int:
-    if n % 2 != 0:
-        return 0
-    return math.prod(range(1, n, 2))
-
-
-# --- family enumeration ---------------------------------------------------------
-
-
-def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    ptr = 0
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for x in seq:
-        edges.append(canonical_edge(leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append(canonical_edge(leaf, n - 1))
-    return edges
-
-
-def _complete_tree_edge_sets(n: int) -> Iterator[frozenset]:
-    if n <= 1:
-        yield frozenset()
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        yield frozenset(_prufer_edges(seq, n))
-
-
-def _generic_tree_edge_sets(g: ColoredGraph) -> Iterator[frozenset]:
-    """Spanning trees of an arbitrary connected host, each exactly once:
-    include/exclude recursion over canonical edge order with a
-    connectivity-feasibility prune on the exclude branch."""
-    n = g.n
-    edges = list(g.edges)
-    m = len(edges)
-
-    def find(parent, x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def rec(idx, parent, chosen):
-        if len(chosen) == n - 1:
-            yield frozenset(chosen)
-            return
-        if m - idx < (n - 1) - len(chosen):
-            return
-        # excluding everything before idx must still leave the host connectable
-        probe = parent.copy()
-        merges = 0
-        for e in edges[idx:]:
-            ru, rv = find(probe, e[0]), find(probe, e[1])
-            if ru != rv:
-                probe[rv] = ru
-                merges += 1
-        if merges < (n - 1) - len(chosen):
-            return
-        u, v = edges[idx]
-        ru, rv = find(parent, u), find(parent, v)
-        if ru != rv:
-            child = parent.copy()
-            child[rv] = ru
-            yield from rec(idx + 1, child, chosen + [edges[idx]])
-        yield from rec(idx + 1, parent, chosen)
-
-    yield from rec(0, list(range(n)), [])
-
-
-def _hampath_edge_sets(n: int) -> Iterator[frozenset]:
-    if n <= 1:
-        yield frozenset()
-        return
-    for perm in itertools.permutations(range(n)):
-        if perm[0] > perm[-1]:
-            continue
-        yield frozenset(canonical_edge(a, b) for a, b in zip(perm, perm[1:]))
-
-
-def _diam3_edge_sets(n: int) -> Iterator[frozenset]:
-    if n <= 2:
-        yield from _complete_tree_edge_sets(n)
-        return
-    for c in range(n):
-        yield frozenset(canonical_edge(c, x) for x in range(n) if x != c)
-    for u in range(n):
-        for v in range(u + 1, n):
-            rest = [x for x in range(n) if x not in (u, v)]
-            for pick in range(1, (1 << len(rest)) - 1):
-                edges = {canonical_edge(u, v)}
-                for i, x in enumerate(rest):
-                    edges.add(canonical_edge(u, x) if (pick >> i) & 1 else canonical_edge(v, x))
-                yield frozenset(edges)
-
-
-def _matching_edge_sets(n: int) -> Iterator[frozenset]:
-    verts = list(range(n))
-
-    def rec(pool, acc):
-        if not pool:
-            yield frozenset(acc)
-            return
-        u = pool[0]
-        for i in range(1, len(pool)):
-            v = pool[i]
-            yield from rec(pool[1:i] + pool[i + 1 :], acc + [(u, v)])
-
-    yield from rec(verts, [])
-
-
-def family_count(g: ColoredGraph, kind) -> int:
-    if isinstance(kind, SpanningTrees):
-        return spanning_tree_count(g)
-    if isinstance(kind, HamiltonianPaths):
-        return hamiltonian_path_count(g.n)
-    if isinstance(kind, Diam3Trees):
-        return diam3_tree_count(g.n)
-    if isinstance(kind, PerfectMatchings):
-        return perfect_matching_count(g.n)
-    raise DomainError(f"unsupported enumeration kind {kind!r}")
-
-
 def enumerate_family(
     g: ColoredGraph,
     kind: Union[FamilyKind, PerfectMatchings],
@@ -253,44 +49,23 @@ def enumerate_family(
     """Stream every member of the family exactly once, validated.
 
     Refuses upfront (BudgetExceeded, stating the required budget) when
-    the closed-form member count exceeds the applicable budget field.
+    the closed-form member count exceeds the kind's budget field.
     """
     budget = budget or DEFAULT_BUDGET
     if not (kind.host is g or kind.host == g):
         raise DomainError("enumeration kind is bound to a different host")
-    count = family_count(g, kind)
-    if isinstance(kind, SpanningTrees):
-        limit, limit_name = budget.max_spanning_trees, "max_spanning_trees"
-    elif isinstance(kind, HamiltonianPaths):
-        limit, limit_name = budget.max_paths, "max_paths"
-    elif isinstance(kind, Diam3Trees):
-        limit, limit_name = budget.max_spanning_trees, "max_spanning_trees"
-    else:
-        limit, limit_name = budget.max_matchings, "max_matchings"
+    count = kind.count()
+    limit = getattr(budget, kind.budget_field)
     if count > limit:
         raise BudgetExceeded(
-            f"{count:,} members to enumerate; requires {limit_name} >= {count:,} "
+            f"{count:,} members to enumerate; requires {kind.budget_field} >= {count:,} "
             f"(budget is {limit:,})"
         )
 
     def generate():
-        if isinstance(kind, SpanningTrees):
-            sets = (
-                _complete_tree_edge_sets(g.n) if g.is_complete else _generic_tree_edge_sets(g)
-            )
-            check = is_spanning_tree
-        elif isinstance(kind, HamiltonianPaths):
-            sets = _hampath_edge_sets(g.n)
-            check = is_hamiltonian_path
-        elif isinstance(kind, Diam3Trees):
-            sets = _diam3_edge_sets(g.n)
-            check = lambda h: is_spanning_tree(h) and tree_diameter(h) <= 3
-        else:
-            sets = _matching_edge_sets(g.n)
-            check = lambda h: is_matching(h) and len(h.edges) == g.n // 2
-        for edge_set in sets:
+        for edge_set in kind.edge_sets():
             member = EdgeSubgraph._unchecked(g, edge_set)
-            if not check(member):
+            if not kind.is_member(member):
                 raise AssertionError(f"enumerated member failed validation: {sorted(edge_set)}")
             yield member
 
@@ -300,6 +75,15 @@ def enumerate_family(
 # --- exhaustive theorem checks ---------------------------------------------------
 
 THEOREMS = ("tree", "connected", "diam3", "path-census", "path-decomposition")
+
+# family theorem -> (family whose members the scan looks for, the name of
+# its finder, looked up on finders when a scan starts)
+_FAMILY_THEOREMS = {
+    "tree": (SpanningTrees, "find_zero_sum_spanning_tree"),
+    "diam3": (Diam3Trees, "find_zero_sum_diam3_tree"),
+    "path-census": (HamiltonianPaths, "find_zero_sum_spanning_path"),
+    "path-decomposition": (HamiltonianPaths, "find_zero_sum_spanning_path"),
+}
 
 
 @dataclass
@@ -328,10 +112,6 @@ def _graph_from_mask(n: int, edges: tuple, mask: int) -> ColoredGraph:
     return ColoredGraph._unchecked(n, edges, sign)
 
 
-def _edge_bit_index(edges: tuple) -> dict:
-    return {e: i for i, e in enumerate(edges)}
-
-
 def _mask_of(edge_set, eidx) -> int:
     mask = 0
     for e in edge_set:
@@ -340,32 +120,41 @@ def _mask_of(edge_set, eidx) -> int:
 
 
 def _family_masks(theorem: str, n: int, eidx) -> list[int]:
-    if theorem == "tree":
-        sets = _complete_tree_edge_sets(n)
-    elif theorem == "diam3":
-        sets = _diam3_edge_sets(n)
-    else:
-        sets = _hampath_edge_sets(n)
-    return [_mask_of(s, eidx) for s in sets]
+    family = _FAMILY_THEOREMS[theorem][0](ColoredGraph.complete(n))
+    return [_mask_of(s, eidx) for s in family.edge_sets()]
 
 
-def _theorem_table(theorem: str, n: int) -> list:
-    """What a theorem's scan looks up for every colouring: the masks of all
-    family members, or for connected each vertex pair x, y with the mask
-    of the other vertices and the masks of the x..y paths of length 4.
-    Built once per exhaustive_theorem_check call."""
-    eidx = _edge_bit_index(complete_edges(n))
+def _census_met(theorem: str, n: int) -> list[bool]:
+    """met[e] tells whether a colouring of K_n with e edges -1 meets the
+    theorem's hypothesis, for e = 0..C(n,2)."""
+    m = binomial(n, 2)
+    if theorem == "path-decomposition":
+        bound = decomposition_bound(n)
+        return [abs(m - 2 * e) < bound for e in range(m + 1)]
+    guarantee = GUARANTEES[theorem, "complete"]
+    bound = guarantee.bound(n)
+    return [guarantee.holds(min(e, m - e), bound) for e in range(m + 1)]
+
+
+def _theorem_table(theorem: str, n: int) -> tuple:
+    """What a theorem's scan looks up for every colouring: the met list of
+    _census_met, and the masks of all family members or, for connected,
+    each vertex pair x, y with the mask of the other vertices and the masks
+    of the x..y paths of length 4.  Built once per exhaustive_theorem_check
+    call."""
+    met = _census_met(theorem, n)
+    eidx = {e: i for i, e in enumerate(complete_edges(n))}
     if theorem == "connected":
         full = (1 << n) - 1
-        return [
+        return met, [
             (x, y, full ^ (1 << x) ^ (1 << y), _short_path_masks(n, eidx, x, y)[1])
             for x in range(n)
             for y in range(x + 1, n)
         ]
-    return _family_masks(theorem, n, eidx)
+    return met, _family_masks(theorem, n, eidx)
 
 
-def _check_range(theorem: str, n: int, lo: int, hi: int, table: list) -> TheoremReport:
+def _check_range(theorem: str, n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
     if theorem == "connected":
         return _connected_core(n, lo, hi, table)
     return _family_core(theorem, n, lo, hi, table)
@@ -376,7 +165,7 @@ def _check_range(theorem: str, n: int, lo: int, hi: int, table: list) -> Theorem
 _worker_table = None
 
 
-def _init_worker(table: list) -> None:
+def _init_worker(table: tuple) -> None:
     global _worker_table
     _worker_table = table
 
@@ -386,54 +175,18 @@ def _check_chunk(bounds) -> TheoremReport:
     return _check_range(theorem, n, lo, hi, _worker_table)
 
 
-def _family_core(theorem: str, n: int, lo: int, hi: int, masks: list) -> TheoremReport:
+def _family_core(theorem: str, n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
+    met, masks = table
     edges = complete_edges(n)
-    m = len(edges)
-    mt = n - 1  # member edge count
-    if mt % 2 == 0:
-        t1 = t2 = mt // 2
-    else:
-        t1, t2 = (mt - 1) // 2, (mt + 1) // 2
-
-    k = (n - 1) // 2
-    if theorem == "tree":
-        bound = ex_forest(n, k) if k >= 1 else 0
-        finder = finders.find_zero_sum_spanning_tree
-
-        def hyp(e_minus):
-            return e_minus > bound and m - e_minus > bound
-
-    elif theorem == "diam3":
-        bound = ex_star(n, k) if k >= 1 else 0
-        finder = finders.find_zero_sum_diam3_tree
-
-        def hyp(e_minus):
-            return e_minus > bound and m - e_minus > bound
-
-    elif theorem == "path-census":
-        bound = spanning_path_threshold(n)
-        finder = finders.find_zero_sum_spanning_path
-
-        def hyp(e_minus):
-            return e_minus > bound and m - e_minus > bound
-
-    elif theorem == "path-decomposition":
-        lim2 = 3 * n if n % 2 == 0 else 3 * (n - 1)
-        finder = finders.find_zero_sum_spanning_path
-
-        def hyp(e_minus):
-            return 2 * abs(m - 2 * e_minus) < lim2
-
-    else:
-        raise DomainError(f"unknown theorem {theorem!r}")
-
+    # -1 edge counts of an n-1 edge member of weight 0 or +-1
+    t1, t2 = (n - 1) // 2, n // 2
+    finder = getattr(finders, _FAMILY_THEOREMS[theorem][1])
     report = TheoremReport(theorem, n, lo, hi)
     ces = report.counterexamples
     nmasks = len(masks)
     last = 0
     for mask in range(lo, hi):
-        e_minus = mask.bit_count()
-        if not hyp(e_minus):
+        if not met[mask.bit_count()]:
             continue
         report.hypothesis_met += 1
         cnt = (masks[last] & mask).bit_count()
@@ -479,15 +232,13 @@ def _short_path_masks(n: int, eidx, x: int, y: int):
     return masks2, masks4
 
 
-def _connected_core(n: int, lo: int, hi: int, pair_masks: list) -> TheoremReport:
+def _connected_core(n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
+    met, pair_masks = table
     edges = complete_edges(n)
-    m = len(edges)
-    need = (n + 2) // 2  # ceil((n+1)/2)
     report = TheoremReport("connected", n, lo, hi)
     ces = report.counterexamples
     for mask in range(lo, hi):
-        e_minus = mask.bit_count()
-        if e_minus < need or m - e_minus < need:
+        if not met[mask.bit_count()]:
             continue
         report.hypothesis_met += 1
         # per vertex, its -1 neighbours: x-u-y has one -1 edge exactly when

@@ -1,21 +1,23 @@
-"""Exact extremal edge-count formulas and sufficient-condition verdicts.
+"""Exact extremal edge-count formulas, the guarantee table and the
+Master Theorem verdict.
 
-Everything here is integer or exact-rational arithmetic; there is no
-floating point.  The formulas give, for each supported family, the
-largest number of edges a host can spend on one colour class without
-being forced to contain the half-sized monochromatic subgraph that the
-finders need.
+Everything here is integer arithmetic; there is no floating point.  The
+formulas give, for each supported family, the largest number of edges a
+host can spend on one colour class without being forced to contain the
+half-sized monochromatic subgraph that the finders need.  GUARANTEES
+turns them into the census condition of every guarantee the finders,
+the oracle, the CLI and master_verdict apply; a new guarantee is one
+entry there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Union
+from functools import lru_cache
+from typing import Callable, Optional
 
 from .errors import DomainError
-from .families import Diam3Trees, FamilyKind, HamiltonianPaths, SpanningTrees
-from .graphs import ColoredGraph, binomial, census
+from .graphs import ColoredGraph, EdgeSubgraph, binomial, census
 
 
 def ex_linear_forest(n: int, k: int) -> int:
@@ -82,10 +84,113 @@ def spanning_path_threshold(n: int) -> int:
     return binomial(n, 2) - binomial(n - (n - 3) // 4, 2) + c
 
 
+@dataclass(frozen=True, eq=False)
+class Guarantee:
+    """The census condition of one guarantee on one host class.
+
+    The finder needs a monochromatic k(n)-edge subgraph, half a family
+    member, in each colour class; min{e(-1), e(1)} above bound(n) forces
+    both (reaching it suffices when strict is False).  bound_at(n, k, d)
+    evaluates the formula named by formula, d being the degeneracy of a
+    d-tree host and 0 elsewhere.  The finder accepts orders n >= min_n(d).
+    text is the condition as certificates print it; label and host name
+    the host class there and in the error for a graph outside the class.
+    exact is False when the bound only caps the true threshold from above.
+    """
+
+    formula: str
+    bound_at: Callable[[int, int, int], int]
+    text: str
+    strict: bool = True
+    min_n: Callable[[int], int] = lambda d: 2
+    k: Callable[[int], int] = lambda n: (n - 1) // 2
+    exact: bool = True
+    label: str = ""
+    host: str = ""
+
+    def bound(self, n: int, d: int = 0) -> int:
+        return self.bound_at(n, self.k(n), d)
+
+    def threshold(self, n: int, d: int = 0) -> int:
+        """bound(n, d), refusing an order the finder does not accept."""
+        if n < self.min_n(d):
+            raise DomainError(f"need n >= {self.min_n(d)}, got n={n}")
+        return self.bound(n, d)
+
+    def holds(self, minimum: int, bound: int) -> bool:
+        return minimum > bound if self.strict else minimum >= bound
+
+    # kept per argument tuple: the connectivity finder asks it once for
+    # every vertex pair of a colouring
+    @lru_cache(maxsize=64)
+    def condition(self, n: int, minimum: int, d: int = 0) -> tuple[bool, str]:
+        """Whether a census minimum meets the condition at order n (which
+        also needs n >= min_n(d)), and the condition's certificate text."""
+        bound = self.bound(n, d)
+        holds = n >= self.min_n(d) and self.holds(minimum, bound)
+        label = self.label.format(d=d)
+        return holds, self.text.format(minimum=minimum, bound=bound, label=label)
+
+
+_TREE_TEXT = "{label} host: min{{e(-1),e(1)}}={minimum} needs > {bound}"
+
+# (guarantee, host class) -> census condition.  Guarantees are named as
+# the oracle's theorems, host classes as the CLI's --host-class choices.
+# On K_1 and K_2 (k = 0) the census minimum is 0, and the tree and diam3
+# bounds are 0 there, so their conditions never hold.
+GUARANTEES = {
+    ("tree", "complete"): Guarantee(
+        "ex_forest", lambda n, k, d: ex_forest(n, k) if k else 0, _TREE_TEXT,
+        label="complete", host="complete",
+    ),
+    ("tree", "triangle-free"): Guarantee(
+        "forest_bound_triangle_free", lambda n, k, d: forest_bound_triangle_free(k), _TREE_TEXT,
+        k=lambda n: n // 2, label="triangle-free", host="triangle-free",
+    ),
+    ("tree", "dtree"): Guarantee(
+        "forest_bound_degenerate", lambda n, k, d: forest_bound_degenerate(k, d), _TREE_TEXT,
+        min_n=lambda d: 2 * d + 2, label="{d}-tree", host="a {d}-tree",
+    ),
+    ("tree", "planar"): Guarantee(
+        "forest_bound_planar", lambda n, k, d: forest_bound_planar(k),
+        "{label} host: min{{e(-1),e(1)}}={minimum} needs >= {bound}", strict=False,
+        min_n=lambda d: 7, label="stacked-planar", host="a certified stacked maximal planar graph",
+    ),
+    # only the star Turan number is known here; it bounds the true
+    # half-family threshold from above, so the condition stays sufficient
+    ("diam3", "complete"): Guarantee(
+        "ex_star", lambda n, k, d: ex_star(n, k) if k else 0,
+        "min{{e(-1),e(1)}}={minimum} needs > {bound} = floor(n/2*floor((n-3)/2))",
+        min_n=lambda d: 3, exact=False,
+    ),
+    ("path-census", "complete"): Guarantee(
+        "spanning_path_threshold", lambda n, k, d: spanning_path_threshold(n),
+        "census threshold not met: min{{e(-1),e(1)}}={minimum} <= {bound}", min_n=lambda d: 3,
+    ),
+    # any two vertices are joined by a zero-sum path of length <= 4
+    ("connected", "complete"): Guarantee(
+        "ceil((n+1)/2)", lambda n, k, d: (n + 2) // 2,
+        "census min={minimum}, threshold ceil((n+1)/2)={bound}", strict=False, min_n=lambda d: 6,
+    ),
+}
+
+
+def decomposition_bound(n: int) -> int:
+    """Master Theorem conditions 2 and 3 on K_n: |f(K_n)| below this forces
+    a spanning path of weight at most 1 in absolute value.
+
+    K_n splits into n/2 spanning paths (n even) or (n-1)/2 spanning cycles
+    (n odd), so some part weighs at most |f| times the part size over
+    C(n,2); the bounds (2+c)/(n-1)*C(n,2) and (3+c)/n*C(n,2), with c the
+    parity of n-1, both equal 3*floor(n/2).
+    """
+    return 3 * (n // 2)
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     holds: bool
-    bound: Union[int, Fraction]
+    bound: int
     note: str = ""
 
 
@@ -93,12 +198,11 @@ class ConditionReport:
 class MasterVerdict:
     """Evaluation of the three sufficient conditions for a family on K_n.
 
-    condition1 compares min{e(-1), e(1)} against the half-family edge
-    threshold; condition2/condition3 compare |f(K_n)| against the
-    decomposition bounds (2+c)/m * C(n,2) and (3+c)/(m+1) * C(n,2).  The
-    decomposition conditions are reported only when the corresponding
-    decomposition exists for (n, family); when absent they are None, not
-    False.
+    condition1 compares min{e(-1), e(1)} against the family's census
+    bound in GUARANTEES; condition2/condition3 compare |f(K_n)| against
+    decomposition_bound for even/odd n.  The decomposition conditions are
+    reported only when the parts of the decomposition, spanning paths, are
+    family members; when absent they are None, not False.
     """
 
     condition1: ConditionReport
@@ -107,68 +211,26 @@ class MasterVerdict:
     c: int
     m: int
 
-    def any_holds(self) -> bool:
-        return any(
-            r is not None and r.holds
-            for r in (self.condition1, self.condition2, self.condition3)
-        )
 
-
-def half_family_threshold(kind: FamilyKind) -> tuple[int, str]:
-    """Edge threshold used by condition 1, plus a note on its status."""
-    n = kind.host.n
-    k = (n - 1) // 2
-    if isinstance(kind, SpanningTrees):
-        return ex_forest(n, k) if k >= 1 else 0, "exact"
-    if isinstance(kind, HamiltonianPaths):
-        return (spanning_path_threshold(n) if n >= 3 else 0), "exact"
-    if isinstance(kind, Diam3Trees):
-        # only the star Turan number is known here; it bounds the true
-        # half-family threshold from above, so condition 1 stays sufficient
-        return ex_star(n, k) if k >= 1 else 0, "upper bound"
-    raise DomainError(f"unknown family kind {kind!r}")
-
-
-def _decomposition_parts_are_members(kind: FamilyKind, n: int) -> bool:
-    # Hamiltonian paths are spanning trees; they have diameter <= 3 only
-    # for n <= 4
-    if isinstance(kind, (SpanningTrees, HamiltonianPaths)):
-        return True
-    return n <= 4
-
-
-def master_verdict(g: ColoredGraph, kind: FamilyKind) -> MasterVerdict:
-    """Evaluate all available sufficient conditions for g and the family.
-
-    Rational bounds are compared by cross-multiplied integers so the
-    strict inequalities are exact at the boundary.
-    """
+def master_verdict(g: ColoredGraph, kind) -> MasterVerdict:
+    """Evaluate all available sufficient conditions for g and the family."""
     if not (kind.host is g or kind.host == g):
         raise DomainError("family kind is bound to a different host")
     n = g.n
     m = n - 1
-    c = m % 2
     cs = census(g)
-    bound1, note1 = half_family_threshold(kind)
-    cond1 = ConditionReport(cs.minimum > bound1, bound1, note1)
+    guarantee = GUARANTEES[kind.guarantee, "complete"]
+    bound = guarantee.bound(n)
+    note = "exact" if guarantee.exact else "upper bound"
+    cond1 = ConditionReport(guarantee.holds(cs.minimum, bound), bound, note)
 
     cond2 = cond3 = None
-    if g.is_complete:
-        total = abs(cs.total_weight)
-        pairs = binomial(n, 2)
-        if n % 2 == 0 and n >= 2 and _decomposition_parts_are_members(kind, n):
-            # decomposition into n/2 spanning paths exists for even n
-            cond2 = ConditionReport(
-                total * m < (2 + c) * pairs,
-                Fraction((2 + c) * pairs, m) if m else Fraction(0),
-                "path decomposition",
-            )
-        if n % 2 == 1 and n >= 3 and _decomposition_parts_are_members(kind, n):
-            # decomposition into (n-1)/2 spanning cycles exists for odd n;
-            # a cycle minus any edge is a spanning path
-            cond3 = ConditionReport(
-                total * (m + 1) < (3 + c) * pairs,
-                Fraction((3 + c) * pairs, m + 1),
-                "cycle decomposition",
-            )
-    return MasterVerdict(cond1, cond2, cond3, c, m)
+    path = EdgeSubgraph._unchecked(g, frozenset((v, v + 1) for v in range(m)))
+    if g.is_complete and n >= 2 and kind.is_member(path):
+        bound = decomposition_bound(n)
+        holds = abs(cs.total_weight) < bound
+        if n % 2 == 0:
+            cond2 = ConditionReport(holds, bound, "path decomposition")
+        else:
+            cond3 = ConditionReport(holds, bound, "cycle decomposition")
+    return MasterVerdict(cond1, cond2, cond3, m % 2, m)

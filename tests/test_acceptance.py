@@ -34,6 +34,7 @@ from zerosum.families import (
     ExchangeChain,
     HamiltonianPaths,
     SpanningTrees,
+    _prufer_edges,
     interpolate_traced,
 )
 from zerosum.graphs import (
@@ -48,7 +49,6 @@ from zerosum.oracle import (
     PerfectMatchings,
     enumerate_family,
     exhaustive_theorem_check,
-    _prufer_edges,
 )
 from zerosum.thresholds import (
     ex_forest,

@@ -38,6 +38,13 @@ def test_thresholds_domain_error_keeps_its_message(capsys):
     assert code == 2 and "wrong number of parameters" in err
 
 
+def test_thresholds_tree_and_diam3_errors_name_n(capsys):
+    code, _, err = run_cli(capsys, ["thresholds", "tree", "1"])
+    assert code == 2 and "need n >= 2, got n=1" in err and "k=" not in err
+    code, _, err = run_cli(capsys, ["thresholds", "diam3", "1"])
+    assert code == 2 and "need n >= 3, got n=1" in err and "k=" not in err
+
+
 def test_extremal_emits_parseable_edge_list(capsys):
     code, out, _ = run_cli(capsys, ["extremal", "connectivity-matching", "6"])
     assert code == 0

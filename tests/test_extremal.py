@@ -193,7 +193,7 @@ def test_matching_k4n_too_large_refuses():
 def test_bipartite_sharpness_tree_enumeration_cross_check():
     # the 2n=8 instance fits the default tree budget, so verification also
     # walks all 32,000 spanning trees of K_{4,5}
-    from zerosum.oracle import spanning_tree_count
+    from zerosum.families import spanning_tree_count
 
     g = make_extremal_graph(BipartiteSharpness(4))
     assert spanning_tree_count(g) == 4**4 * 5**3

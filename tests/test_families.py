@@ -33,7 +33,7 @@ def random_tree(g, rng):
     if n <= 2:
         return EdgeSubgraph(g, g.edges)
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    from zerosum.oracle import _prufer_edges
+    from zerosum.families import _prufer_edges
 
     return EdgeSubgraph(g, _prufer_edges(tuple(seq), n))
 

@@ -374,3 +374,68 @@ def test_matching_k8_random():
         report = check_zero_sum_matching(g)
         if report.found:
             assert weight(report.subgraph) == 0
+
+
+# --- pinned finder outputs ---
+
+
+def _every_colouring(n, host_edges, certificate=None):
+    """The host once per colouring: bit i of the mask makes the i-th edge of
+    host_edges -1."""
+    for mask in range(1 << len(host_edges)):
+        rows = [(u, v, -1 if (mask >> i) & 1 else 1) for i, (u, v) in enumerate(host_edges)]
+        yield ColoredGraph(n, rows, certificate=certificate)
+
+
+def _k6_colourings():
+    return (complete_from_mask(6, mask) for mask in range(1 << 15))
+
+
+def _planar7_tree_reports():
+    from zerosum.extremal import _stacked_planar_host
+
+    edges, cert = _stacked_planar_host(7)
+    for g in _every_colouring(7, sorted(edges), cert):
+        yield find_zero_sum_spanning_tree(g, MAXIMAL_PLANAR_STACKED)
+
+
+def _dtree8_tree_reports():
+    from zerosum.extremal import _lowest_dtree_edges
+
+    for g in _every_colouring(8, sorted(_lowest_dtree_edges(8, 2))):
+        yield find_zero_sum_spanning_tree(g, DTree(2))
+
+
+FINDER_RUNS = {
+    "k6-tree": lambda: map(find_zero_sum_spanning_tree, _k6_colourings()),
+    "k6-diam3": lambda: map(find_zero_sum_diam3_tree, _k6_colourings()),
+    "k6-path": lambda: map(find_zero_sum_spanning_path, _k6_colourings()),
+    "planar7-tree": _planar7_tree_reports,
+    "dtree8-tree": _dtree8_tree_reports,
+}
+
+# SHA-256 over (sorted edges, weight, certificate, chain_replacements) of
+# every report of each run, recorded from the finders as they were before
+# they read their census bounds from the guarantee table
+FINDER_DIGESTS = {
+    "k6-tree": "0e5efef7affb0a15cff76703444e7383dee2499b7a2336236c48dbbc2895b3dc",
+    "k6-diam3": "badd5c5c47c185d4c37b9498f44dd9e78bdfd3afc7f37faac24bbe72200df779",
+    "k6-path": "eb97c2955376ad3eea8c9d7c54492200f9ef9194756efd829e6e01c0d0cd4db3",
+    "planar7-tree": "3e3c5becebd93ed68c240c84c7bbb1655b79b426205f14987f538eaf213f1505",
+    "dtree8-tree": "843107463cde15f4bf266b38bb127fec88ad57c426d9fcdcd40686699cd819c4",
+}
+
+
+def _report_digest(reports) -> str:
+    digest = hashlib.sha256()
+    for rep in reports:
+        edges = sorted(rep.subgraph.edges) if rep.subgraph is not None else []
+        digest.update(
+            repr((edges, rep.weight, rep.certificate, rep.chain_replacements)).encode()
+        )
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("run", sorted(FINDER_RUNS))
+def test_finder_outputs_unchanged(run):
+    assert _report_digest(FINDER_RUNS[run]()) == FINDER_DIGESTS[run]

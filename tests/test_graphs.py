@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -248,3 +249,16 @@ def test_edge_list_error_reports_line_number():
     with pytest.raises(GraphFormatError) as err:
         read_edge_list("# comment\n3 2\n0 1 1\n1 2 0\n")
     assert err.value.line_no == 4
+
+
+def test_is_connected_of_a_huge_edgeless_header_allocates_nothing():
+    # too few edges to connect n vertices: no per-vertex array is built
+    g = read_edge_list("2000000 0\n")
+    tracemalloc.start()
+    try:
+        connected = g.is_connected()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not connected
+    assert peak < 1 << 20

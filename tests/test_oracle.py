@@ -7,18 +7,18 @@ import pytest
 from conftest import complete_from_mask, random_complete
 from zerosum import oracle
 from zerosum.errors import BudgetExceeded, DomainError
-from zerosum.families import Diam3Trees, HamiltonianPaths, SpanningTrees
-from zerosum.graphs import ColoredGraph, is_spanning_tree, tree_diameter, weight
-from zerosum.oracle import (
-    EnumerationBudget,
+from zerosum.families import (
+    Diam3Trees,
+    HamiltonianPaths,
     PerfectMatchings,
+    SpanningTrees,
     diam3_tree_count,
-    enumerate_family,
-    exhaustive_theorem_check,
     hamiltonian_path_count,
     perfect_matching_count,
     spanning_tree_count,
 )
+from zerosum.graphs import ColoredGraph, is_spanning_tree, tree_diameter, weight
+from zerosum.oracle import EnumerationBudget, enumerate_family, exhaustive_theorem_check
 
 
 def test_spanning_tree_counts_match_enumeration():

@@ -1,13 +1,17 @@
+import argparse
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from conftest import complete_from_mask
+from zerosum import cli, oracle
 from zerosum.errors import DomainError
 from zerosum.families import Diam3Trees, HamiltonianPaths, SpanningTrees
-from zerosum.graphs import ColoredGraph, complete_edges
+from zerosum.graphs import ColoredGraph, binomial, complete_edges
 from zerosum.thresholds import (
+    GUARANTEES,
+    decomposition_bound,
     ex_forest,
     ex_linear_forest,
     ex_star,
@@ -172,3 +176,69 @@ def test_master_verdict_requires_matching_host():
     other = ColoredGraph.complete_with_minus(5, [(0, 1)])
     with pytest.raises(DomainError):
         master_verdict(g, SpanningTrees(other))
+
+
+def _host_class_choices():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices["find"]._actions if a.dest == "host_class")
+
+
+def test_guarantee_table_covers_every_theorem_and_host_class():
+    for theorem in oracle.THEOREMS:
+        # path-decomposition is decided by decomposition_bound, not a census
+        assert theorem == "path-decomposition" or (theorem, "complete") in GUARANTEES
+    choices = _host_class_choices()
+    assert set(choices) == set(cli.HOST_CLASSES)
+    for host_class in choices:
+        assert ("tree", host_class) in GUARANTEES
+
+
+# (guarantee, host class) -> (the formula the entry names, its bound at
+# order n and degeneracy d written out from that formula)
+FORMULAS = {
+    ("tree", "complete"): (ex_forest, lambda n, d: ex_forest(n, (n - 1) // 2)),
+    ("tree", "triangle-free"): (
+        forest_bound_triangle_free,
+        lambda n, d: forest_bound_triangle_free(n // 2),
+    ),
+    ("tree", "dtree"): (
+        forest_bound_degenerate,
+        lambda n, d: forest_bound_degenerate((n - 1) // 2, d),
+    ),
+    ("tree", "planar"): (forest_bound_planar, lambda n, d: forest_bound_planar((n - 1) // 2)),
+    ("diam3", "complete"): (ex_star, lambda n, d: ex_star(n, (n - 1) // 2)),
+    ("path-census", "complete"): (spanning_path_threshold, lambda n, d: spanning_path_threshold(n)),
+    ("connected", "complete"): (None, lambda n, d: (n + 2) // 2),
+}
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+def test_guarantee_bounds_equal_the_formulas_they_name():
+    assert set(FORMULAS) == set(GUARANTEES)
+    for key, guarantee in GUARANTEES.items():
+        formula, expected = FORMULAS[key]
+        if formula is not None:
+            assert guarantee.formula == formula.__name__, key
+        for d in (1, 2, 3) if key[1] == "dtree" else (0,):
+            for n in range(3, 41):
+                assert _value_or_error(guarantee.bound, n, d) == _value_or_error(
+                    expected, n, d
+                ), (key, n, d)
+
+
+def test_decomposition_bound_equals_the_master_theorem_fractions():
+    for n in range(2, 41):
+        m = n - 1
+        c = m % 2
+        pairs = binomial(n, 2)
+        if n % 2 == 0:
+            assert decomposition_bound(n) == Fraction((2 + c) * pairs, m)
+        else:
+            assert decomposition_bound(n) == Fraction((3 + c) * pairs, m + 1)
