@@ -170,8 +170,11 @@ def _cmd_extremal(args) -> int:
     g = extremal_mod.make_extremal_graph(cid)
     text = write_edge_list(g, header_comments=[extremal_mod.construction_header(cid)])
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_FOUND

@@ -12,23 +12,21 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 from . import finders, oracle
-from .errors import BudgetExceeded, DomainError
-from .families import HamiltonianPaths, SpanningTrees
+from .errors import DomainError
+from .families import HamiltonianPaths, PerfectMatchings, SpanningTrees, spanning_tree_count
 from .graphs import (
     ColoredGraph,
     StackedCertificate,
-    UnionFind,
     binomial,
     canonical_edge,
     census,
     complete_edges,
     weight,
 )
-from .families import spanning_tree_count
 from .oracle import EnumerationBudget, enumerate_family
 from .thresholds import (
     ex_forest,
@@ -38,93 +36,6 @@ from .thresholds import (
     forest_bound_planar,
     spanning_path_threshold,
 )
-
-
-@dataclass(frozen=True)
-class TuranLinearForest:
-    n: int
-    k: int
-    which: str  # "clique" (K_k plus isolated vertices) or "join" (dominating set)
-
-
-@dataclass(frozen=True)
-class ForestExtremal:
-    n: int
-    k: int
-
-
-@dataclass(frozen=True)
-class StarExtremalCirculant:
-    n: int
-    k: int
-
-
-@dataclass(frozen=True)
-class PathSharpness:
-    n: int
-
-
-@dataclass(frozen=True)
-class TreeSharpness:
-    n: int
-
-
-@dataclass(frozen=True)
-class BipartiteSharpness:
-    n: int  # bipartite host on 2n+1 vertices; threshold parameter n
-
-
-@dataclass(frozen=True)
-class DTreeSharpness:
-    n: int
-    d: int
-
-
-@dataclass(frozen=True)
-class PlanarSharpness:
-    n: int
-
-
-@dataclass(frozen=True)
-class ConnectivitySmall:
-    n: int  # 4 or 5
-
-
-@dataclass(frozen=True)
-class ConnectivityMatching:
-    n: int  # >= 6
-
-
-@dataclass(frozen=True)
-class NoLength2:
-    n: int  # >= 7
-
-
-@dataclass(frozen=True)
-class NoZeroSumStar:
-    n: int
-
-
-@dataclass(frozen=True)
-class MatchingK4n:
-    t: int  # host is K_{4t^2}
-
-
-ConstructionId = Union[
-    TuranLinearForest,
-    ForestExtremal,
-    StarExtremalCirculant,
-    PathSharpness,
-    TreeSharpness,
-    BipartiteSharpness,
-    DTreeSharpness,
-    PlanarSharpness,
-    ConnectivitySmall,
-    ConnectivityMatching,
-    NoLength2,
-    NoZeroSumStar,
-    MatchingK4n,
-]
 
 
 # --- building blocks -----------------------------------------------------------
@@ -164,26 +75,11 @@ def _circulant_star_free_edges(n: int, k: int) -> set:
             edges |= {canonical_edge(i, i + n // 2) for i in range(n // 2)}
         else:
             # a difference class coprime to n is one n-cycle; alternate
-            # edges of it form a near-perfect matching
-            d = next(
-                (d for d in range(t + 1, (n - 1) // 2 + 1) if math.gcd(d, n) == 1), None
-            )
-            if d is not None:
-                cyc = [(j * d) % n for j in range(n)]
-                edges |= {canonical_edge(cyc[i], cyc[i + 1]) for i in range(0, n - 1, 2)}
-            else:
-                # greedy completion keeps determinism when no class fits
-                deg = Counter()
-                for u, v in edges:
-                    deg[u] += 1
-                    deg[v] += 1
-                for u, v in complete_edges(n):
-                    if len(edges) == target:
-                        break
-                    if (u, v) not in edges and deg[u] < k - 1 and deg[v] < k - 1:
-                        edges.add((u, v))
-                        deg[u] += 1
-                        deg[v] += 1
+            # edges of it form a near-perfect matching; (n-1)/2 is such a
+            # class and exceeds t, since k <= n
+            d = next(d for d in range(t + 1, (n - 1) // 2 + 1) if math.gcd(d, n) == 1)
+            cyc = [(j * d) % n for j in range(n)]
+            edges |= {canonical_edge(cyc[i], cyc[i + 1]) for i in range(0, n - 1, 2)}
     if len(edges) != target:
         raise DomainError(f"cannot realize {target} edges with max degree {k - 1} on {n} vertices")
     return edges
@@ -232,23 +128,101 @@ def _balanced_split(n: int):
     return None
 
 
-# --- construction dispatch -------------------------------------------------------
+# --- verification helpers --------------------------------------------------------
 
 
-def make_extremal_graph(cid: ConstructionId) -> ColoredGraph:
-    if isinstance(cid, TuranLinearForest):
-        return _all_minus(cid.n, _linear_forest_witness_edges(cid.n, cid.k, cid.which))
+def _no_light_member(g, kind, budget) -> bool:
+    return all(abs(weight(member)) > 1 for member in enumerate_family(g, kind, budget))
 
-    if isinstance(cid, ForestExtremal):
-        if not 1 <= cid.k <= cid.n:
-            raise DomainError(f"need 1 <= k <= n, got n={cid.n}, k={cid.k}")
-        return _all_minus(cid.n, _clique_edges(range(cid.k)))
 
-    if isinstance(cid, StarExtremalCirculant):
-        return _all_minus(cid.n, _circulant_star_free_edges(cid.n, cid.k))
+def _tree_weight_floor_certified(g: ColoredGraph, k: int, budget) -> bool:
+    """No spanning tree of g has |weight| <= 1, shown by the minus class
+    containing no k-edge forest; cross-checked by full enumeration when
+    the tree count fits the budget."""
+    m = g.n - 1
+    if len(finders.extract_monochromatic_forest(g, -1, k).edges) >= k:
+        return False
+    # any spanning tree carries at most k-1 minus edges
+    floor = m - 2 * (k - 1)
+    if floor <= 1:
+        return False
+    if spanning_tree_count(g) <= budget.max_spanning_trees:
+        if not _no_light_member(g, SpanningTrees(g), budget):
+            return False
+    return True
 
-    if isinstance(cid, PathSharpness):
-        n = cid.n
+
+# --- constructions ----------------------------------------------------------------
+#
+# Each construction is one frozen dataclass: its fields are its CLI
+# parameters in order, name is its CLI name, build() returns the graph and
+# verify(g, budget) replays the claimed non-existence property on it.
+
+
+@dataclass(frozen=True)
+class TuranLinearForest:
+    n: int
+    k: int
+    which: str  # "clique" (K_k plus isolated vertices) or "join" (dominating set)
+    name: ClassVar[str] = "turan-linear-forest"
+
+    def build(self) -> ColoredGraph:
+        return _all_minus(self.n, _linear_forest_witness_edges(self.n, self.k, self.which))
+
+    def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
+        n, k = self.n, self.k
+        expected = (
+            binomial(k, 2)
+            if self.which == "clique"
+            else binomial(n, 2) - binomial(n - (k - 1) // 2, 2) + (k - 1) % 2
+        )
+        return len(g.edges) == expected and finders._find_linear_forest(g, -1, k) is None
+
+
+@dataclass(frozen=True)
+class ForestExtremal:
+    n: int
+    k: int
+    name: ClassVar[str] = "forest"
+
+    def build(self) -> ColoredGraph:
+        if not 1 <= self.k <= self.n:
+            raise DomainError(f"need 1 <= k <= n, got n={self.n}, k={self.k}")
+        return _all_minus(self.n, _clique_edges(range(self.k)))
+
+    def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
+        k = self.k
+        if len(g.edges) != binomial(k, 2):
+            return False
+        return len(finders.extract_monochromatic_forest(g, -1, k).edges) < k
+
+
+@dataclass(frozen=True)
+class StarExtremalCirculant:
+    n: int
+    k: int
+    name: ClassVar[str] = "star-circulant"
+
+    def build(self) -> ColoredGraph:
+        return _all_minus(self.n, _circulant_star_free_edges(self.n, self.k))
+
+    def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
+        deg = Counter()
+        for u, v in g.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return len(g.edges) == ex_star(self.n, self.k) and (
+            not deg or max(deg.values()) <= self.k - 1
+        )
+
+
+@dataclass(frozen=True)
+class PathSharpness:
+    n: int
+    name: ClassVar[str] = "path-sharpness"
+
+    def build(self) -> ColoredGraph:
+        n = self.n
         if n < 3:
             raise DomainError(f"need n >= 3, got {n}")
         k = (n - 1) // 2
@@ -259,8 +233,17 @@ def make_extremal_graph(cid: ConstructionId) -> ColoredGraph:
         assert census(g).e_minus == ex_linear_forest(n, k) == spanning_path_threshold(n)
         return g
 
-    if isinstance(cid, TreeSharpness):
-        n = cid.n
+    def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
+        return _no_light_member(g, HamiltonianPaths(g), budget)
+
+
+@dataclass(frozen=True)
+class TreeSharpness:
+    n: int
+    name: ClassVar[str] = "tree-sharpness"
+
+    def build(self) -> ColoredGraph:
+        n = self.n
         if n < 3:
             raise DomainError(f"need n >= 3, got {n}")
         k = (n - 1) // 2
@@ -268,8 +251,17 @@ def make_extremal_graph(cid: ConstructionId) -> ColoredGraph:
         assert census(g).e_minus == ex_forest(n, k)
         return g
 
-    if isinstance(cid, BipartiteSharpness):
-        np = cid.n
+    def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
+        return _no_light_member(g, SpanningTrees(g), budget)
+
+
+@dataclass(frozen=True)
+class BipartiteSharpness:
+    n: int  # bipartite host on 2n+1 vertices; threshold parameter n
+    name: ClassVar[str] = "bipartite-sharpness"
+
+    def build(self) -> ColoredGraph:
+        np = self.n
         if np < 2:
             raise DomainError(f"need n >= 2, got {np}")
         # connected bipartite host of odd order 2n+1 (parity kills the
@@ -289,48 +281,104 @@ def make_extremal_graph(cid: ConstructionId) -> ColoredGraph:
         assert census(g).e_minus == np * np // 4
         return g
 
-    if isinstance(cid, DTreeSharpness):
-        n, d = cid.n, cid.d
+    def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
+        return _tree_weight_floor_certified(g, self.n, budget)
+
+
+class _SparseHostSharpness:
+    """Shared rule of the d-tree and stacked-planar tree witnesses: -1 on
+    the host edges inside 0..k-1 with k = (n-1)//2, +1 on the rest, so the
+    -1 class holds no k-edge forest."""
+
+    def _colour(self, host_edges, certificate=None) -> ColoredGraph:
+        k = (self.n - 1) // 2
+        rows = [(u, v, -1 if v < k else 1) for u, v in sorted(host_edges)]
+        return ColoredGraph(self.n, rows, certificate=certificate)
+
+    def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
+        return _tree_weight_floor_certified(g, (self.n - 1) // 2, budget)
+
+
+@dataclass(frozen=True)
+class DTreeSharpness(_SparseHostSharpness):
+    n: int
+    d: int
+    name: ClassVar[str] = "dtree-sharpness"
+
+    def build(self) -> ColoredGraph:
+        n, d = self.n, self.d
         if n < 2 * d + 2:
             raise DomainError(f"need n >= 2d+2 = {2 * d + 2}, got n={n}")
-        k = (n - 1) // 2
-        host_edges = _lowest_dtree_edges(n, d)
-        minus = {(u, v) for u, v in host_edges if v < k}
-        rows = [(u, v, -1 if (u, v) in minus else 1) for u, v in sorted(host_edges)]
-        g = ColoredGraph(n, rows)
-        assert census(g).e_minus == forest_bound_degenerate(k, d)
+        g = self._colour(_lowest_dtree_edges(n, d))
+        assert census(g).e_minus == forest_bound_degenerate((n - 1) // 2, d)
         return g
 
-    if isinstance(cid, PlanarSharpness):
-        n = cid.n
+
+@dataclass(frozen=True)
+class PlanarSharpness(_SparseHostSharpness):
+    n: int
+    name: ClassVar[str] = "planar-sharpness"
+
+    def build(self) -> ColoredGraph:
+        n = self.n
         if n < 7:
             raise DomainError(f"need n >= 7, got {n}")
         k = (n - 1) // 2
-        host_edges, cert = _stacked_planar_host(n)
-        minus = {(u, v) for u, v in host_edges if v < k}
-        rows = [(u, v, -1 if (u, v) in minus else 1) for u, v in sorted(host_edges)]
-        g = ColoredGraph(n, rows, certificate=cert)
+        g = self._colour(*_stacked_planar_host(n))
         assert census(g).e_minus == 3 * k - 6 == forest_bound_planar(k) - 1
         return g
 
-    if isinstance(cid, ConnectivitySmall):
-        if cid.n not in (4, 5):
-            raise DomainError(f"small connectivity witness needs n in {{4,5}}, got {cid.n}")
-        g = ColoredGraph.complete_with_minus(cid.n, [(0, 1), (0, 2), (1, 2)])
-        assert census(g).e_minus == 3 == (cid.n + 2) // 2
+
+class _ConnectivityWitness:
+    """Shared check of the two connectivity witnesses: vertices 0 and 1,
+    joined by a -1 edge, have no zero-sum path of length 2 or 4."""
+
+    def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
+        if finders.find_zero_sum_path_leq4(g, 0, 1).found:
+            return False
+        # independent scan over the same path space
+        eidx = {e: i for i, e in enumerate(g.edges)}
+        mask = sum(1 << eidx[e] for e, c in g.sign.items() if c == -1)
+        masks2, masks4 = oracle._short_path_masks(g.n, eidx, 0, 1)
+        return not any((p & mask).bit_count() == 1 for p in masks2) and not any(
+            (p & mask).bit_count() == 2 for p in masks4
+        )
+
+
+@dataclass(frozen=True)
+class ConnectivitySmall(_ConnectivityWitness):
+    n: int  # 4 or 5
+    name: ClassVar[str] = "connectivity-small"
+
+    def build(self) -> ColoredGraph:
+        if self.n not in (4, 5):
+            raise DomainError(f"small connectivity witness needs n in {{4,5}}, got {self.n}")
+        g = ColoredGraph.complete_with_minus(self.n, [(0, 1), (0, 2), (1, 2)])
+        assert census(g).e_minus == 3 == (self.n + 2) // 2
         return g
 
-    if isinstance(cid, ConnectivityMatching):
-        n = cid.n
+
+@dataclass(frozen=True)
+class ConnectivityMatching(_ConnectivityWitness):
+    n: int  # >= 6
+    name: ClassVar[str] = "connectivity-matching"
+
+    def build(self) -> ColoredGraph:
+        n = self.n
         if n < 6:
             raise DomainError(f"matching connectivity witness needs n >= 6, got {n}")
-        minus = [(2 * i, 2 * i + 1) for i in range(n // 2)]
-        g = ColoredGraph.complete_with_minus(n, minus)
+        g = ColoredGraph.complete_with_minus(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
         assert census(g).e_minus == n // 2 == (n + 2) // 2 - 1
         return g
 
-    if isinstance(cid, NoLength2):
-        n = cid.n
+
+@dataclass(frozen=True)
+class NoLength2:
+    n: int  # >= 7
+    name: ClassVar[str] = "no-length2"
+
+    def build(self) -> ColoredGraph:
+        n = self.n
         if n < 7:
             raise DomainError(f"need n >= 7, got {n}")
         anchors = {canonical_edge(0, u) for u in range(2, n)}
@@ -348,125 +396,7 @@ def make_extremal_graph(cid: ConstructionId) -> ColoredGraph:
         assert abs(cs.e_minus - cs.e_plus) <= 1
         return g
 
-    if isinstance(cid, NoZeroSumStar):
-        split = _balanced_split(cid.n)
-        if split is None:
-            raise DomainError(f"no balanced split exists for n={cid.n}")
-        x, _ = split
-        g = ColoredGraph.complete_with_minus(cid.n, _clique_edges(range(x)))
-        cs = census(g)
-        assert cs.e_minus == cs.e_plus
-        return g
-
-    if isinstance(cid, MatchingK4n):
-        t = cid.t
-        if t < 1:
-            raise DomainError(f"need t >= 1, got {t}")
-        n = t * t
-        size_a = 2 * n + t - 1
-        total = 4 * n
-        minus = _clique_edges(range(size_a)) | _clique_edges(range(size_a, total))
-        g = ColoredGraph.complete_with_minus(total, minus)
-        cs = census(g)
-        assert cs.e_plus == 4 * n * n - t * t + 2 * t - 1
-        assert cs.e_minus == 4 * n * n - n - 2 * t + 1
-        return g
-
-    raise DomainError(f"unknown construction {cid!r}")
-
-
-# --- verification ----------------------------------------------------------------
-
-
-def _max_forest_size(g: ColoredGraph, sign: int) -> int:
-    """Size of a maximum forest inside one colour class (greedy is exact)."""
-    uf = UnionFind(g.n)
-    return sum(1 for e, c in g.sign.items() if c == sign and uf.union(*e))
-
-
-def _no_light_member(g, kind, budget) -> bool:
-    return all(abs(weight(member)) > 1 for member in enumerate_family(g, kind, budget))
-
-
-def _tree_weight_floor_certified(g: ColoredGraph, k: int, budget) -> bool:
-    """No spanning tree of g has |weight| <= 1, shown by the minus class
-    containing no k-edge forest; cross-checked by full enumeration when
-    the tree count fits the budget."""
-    m = g.n - 1
-    if _max_forest_size(g, -1) >= k:
-        return False
-    # any spanning tree carries at most k-1 minus edges
-    floor = m - 2 * (k - 1)
-    if floor <= 1:
-        return False
-    if spanning_tree_count(g) <= budget.max_spanning_trees:
-        if not _no_light_member(g, SpanningTrees(g), budget):
-            return False
-    return True
-
-
-def verify_extremal(cid: ConstructionId, budget: EnumerationBudget | None = None) -> bool:
-    """True iff the construction's claimed non-existence property holds.
-
-    Raises BudgetExceeded instead of guessing when the instance is too
-    large to verify exhaustively.
-    """
-    budget = budget or oracle.DEFAULT_BUDGET
-    g = make_extremal_graph(cid)
-
-    if isinstance(cid, TuranLinearForest):
-        expected = (
-            binomial(cid.k, 2)
-            if cid.which == "clique"
-            else binomial(cid.n, 2)
-            - binomial(cid.n - (cid.k - 1) // 2, 2)
-            + (cid.k - 1) % 2
-        )
-        if len(g.edges) != expected:
-            return False
-        return finders._find_linear_forest(g, -1, cid.k) is None
-
-    if isinstance(cid, ForestExtremal):
-        return len(g.edges) == binomial(cid.k, 2) and _max_forest_size(g, -1) < cid.k
-
-    if isinstance(cid, StarExtremalCirculant):
-        deg = Counter()
-        for u, v in g.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return len(g.edges) == ex_star(cid.n, cid.k) and (
-            not deg or max(deg.values()) <= cid.k - 1
-        )
-
-    if isinstance(cid, PathSharpness):
-        return _no_light_member(g, HamiltonianPaths(g), budget)
-
-    if isinstance(cid, TreeSharpness):
-        return _no_light_member(g, SpanningTrees(g), budget)
-
-    if isinstance(cid, BipartiteSharpness):
-        return _tree_weight_floor_certified(g, cid.n, budget)
-
-    if isinstance(cid, DTreeSharpness):
-        return _tree_weight_floor_certified(g, (cid.n - 1) // 2, budget)
-
-    if isinstance(cid, PlanarSharpness):
-        return _tree_weight_floor_certified(g, (cid.n - 1) // 2, budget)
-
-    if isinstance(cid, (ConnectivitySmall, ConnectivityMatching)):
-        # designated pair: an edge of the -1 core
-        report = finders.find_zero_sum_path_leq4(g, 0, 1)
-        if report.found:
-            return False
-        # independent scan over the same path space
-        eidx = {e: i for i, e in enumerate(g.edges)}
-        mask = sum(1 << eidx[e] for e, c in g.sign.items() if c == -1)
-        masks2, masks4 = oracle._short_path_masks(g.n, eidx, 0, 1)
-        return not any((p & mask).bit_count() == 1 for p in masks2) and not any(
-            (p & mask).bit_count() == 2 for p in masks4
-        )
-
-    if isinstance(cid, NoLength2):
+    def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
         cs = census(g)
         if abs(cs.e_minus - cs.e_plus) > 1:
             return False
@@ -476,7 +406,23 @@ def verify_extremal(cid: ConstructionId, budget: EnumerationBudget | None = None
             for u in range(2, g.n)
         )
 
-    if isinstance(cid, NoZeroSumStar):
+
+@dataclass(frozen=True)
+class NoZeroSumStar:
+    n: int
+    name: ClassVar[str] = "no-zero-sum-star"
+
+    def build(self) -> ColoredGraph:
+        split = _balanced_split(self.n)
+        if split is None:
+            raise DomainError(f"no balanced split exists for n={self.n}")
+        x, _ = split
+        g = ColoredGraph.complete_with_minus(self.n, _clique_edges(range(x)))
+        cs = census(g)
+        assert cs.e_minus == cs.e_plus
+        return g
+
+    def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
         cs = census(g)
         if cs.e_minus != cs.e_plus:
             return False
@@ -488,51 +434,84 @@ def verify_extremal(cid: ConstructionId, budget: EnumerationBudget | None = None
                 return False
         return True
 
-    if isinstance(cid, MatchingK4n):
-        n = cid.t * cid.t
+
+@dataclass(frozen=True)
+class MatchingK4n:
+    t: int  # host is K_{4t^2}
+    name: ClassVar[str] = "matching-k4n"
+
+    def _census(self) -> tuple[int, int]:
+        """(e(+1), e(-1)) of the witness."""
+        t = self.t
+        n = t * t
+        return 4 * n * n - t * t + 2 * t - 1, 4 * n * n - n - 2 * t + 1
+
+    def build(self) -> ColoredGraph:
+        t = self.t
+        if t < 1:
+            raise DomainError(f"need t >= 1, got {t}")
+        size_a = 2 * t * t + t - 1
+        total = 4 * t * t
+        minus = _clique_edges(range(size_a)) | _clique_edges(range(size_a, total))
+        g = ColoredGraph.complete_with_minus(total, minus)
         cs = census(g)
-        if (cs.e_plus, cs.e_minus) != (
-            4 * n * n - cid.t * cid.t + 2 * cid.t - 1,
-            4 * n * n - n - 2 * cid.t + 1,
-        ):
+        assert (cs.e_plus, cs.e_minus) == self._census()
+        return g
+
+    def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
+        cs = census(g)
+        if (cs.e_plus, cs.e_minus) != self._census():
             return False
         return all(
-            weight(matching) != 0
-            for matching in enumerate_family(g, oracle.PerfectMatchings(g), budget)
+            weight(matching) != 0 for matching in enumerate_family(g, PerfectMatchings(g), budget)
         )
 
-    raise DomainError(f"unknown construction {cid!r}")
+
+CONSTRUCTIONS = {
+    cls.name: cls
+    for cls in (
+        TuranLinearForest,
+        ForestExtremal,
+        StarExtremalCirculant,
+        PathSharpness,
+        TreeSharpness,
+        BipartiteSharpness,
+        DTreeSharpness,
+        PlanarSharpness,
+        ConnectivitySmall,
+        ConnectivityMatching,
+        NoLength2,
+        NoZeroSumStar,
+        MatchingK4n,
+    )
+}
+
+
+def make_extremal_graph(cid) -> ColoredGraph:
+    return cid.build()
+
+
+def verify_extremal(cid, budget: EnumerationBudget | None = None) -> bool:
+    """True iff the construction's claimed non-existence property holds.
+
+    Raises BudgetExceeded instead of guessing when the instance is too
+    large to verify exhaustively.
+    """
+    return cid.verify(cid.build(), budget or oracle.DEFAULT_BUDGET)
 
 
 # --- CLI plumbing ----------------------------------------------------------------
 
-CONSTRUCTION_NAMES = {
-    "turan-linear-forest": (TuranLinearForest, ("n", "k", "which")),
-    "forest": (ForestExtremal, ("n", "k")),
-    "star-circulant": (StarExtremalCirculant, ("n", "k")),
-    "path-sharpness": (PathSharpness, ("n",)),
-    "tree-sharpness": (TreeSharpness, ("n",)),
-    "bipartite-sharpness": (BipartiteSharpness, ("n",)),
-    "dtree-sharpness": (DTreeSharpness, ("n", "d")),
-    "planar-sharpness": (PlanarSharpness, ("n",)),
-    "connectivity-small": (ConnectivitySmall, ("n",)),
-    "connectivity-matching": (ConnectivityMatching, ("n",)),
-    "no-length2": (NoLength2, ("n",)),
-    "no-zero-sum-star": (NoZeroSumStar, ("n",)),
-    "matching-k4n": (MatchingK4n, ("t",)),
-}
 
-
-def construction_from_args(name: str, params: list[str]) -> ConstructionId:
-    if name not in CONSTRUCTION_NAMES:
-        raise DomainError(
-            f"unknown construction {name!r}; choose from {sorted(CONSTRUCTION_NAMES)}"
-        )
-    cls, fields = CONSTRUCTION_NAMES[name]
-    if len(params) != len(fields):
-        raise DomainError(f"construction {name} takes parameters {fields}")
+def construction_from_args(name: str, params: list[str]):
+    if name not in CONSTRUCTIONS:
+        raise DomainError(f"unknown construction {name!r}; choose from {sorted(CONSTRUCTIONS)}")
+    cls = CONSTRUCTIONS[name]
+    names = tuple(f.name for f in fields(cls))
+    if len(params) != len(names):
+        raise DomainError(f"construction {name} takes parameters {names}")
     args = []
-    for field_name, value in zip(fields, params):
+    for field_name, value in zip(names, params):
         if field_name == "which":
             args.append(value)
         else:
@@ -543,8 +522,6 @@ def construction_from_args(name: str, params: list[str]) -> ConstructionId:
     return cls(*args)
 
 
-def construction_header(cid: ConstructionId) -> str:
-    name = next(n for n, (cls, _) in CONSTRUCTION_NAMES.items() if isinstance(cid, cls))
-    cls, fields = CONSTRUCTION_NAMES[name]
-    params = " ".join(str(getattr(cid, f)) for f in fields)
-    return f"construction: {name} {params}"
+def construction_header(cid) -> str:
+    params = " ".join(str(getattr(cid, f.name)) for f in fields(cid))
+    return f"construction: {cid.name} {params}"

@@ -329,10 +329,17 @@ def tree_diameter(h: EdgeSubgraph) -> int:
 class Complete:
     name: ClassVar[str] = "complete"
 
+    def contains(self, g: ColoredGraph) -> bool:
+        return g.is_complete
+
 
 @dataclass(frozen=True)
 class TriangleFree:
     name: ClassVar[str] = "triangle-free"
+
+    def contains(self, g: ColoredGraph) -> bool:
+        adj = g.adjacency()
+        return all(not (adj[u] & adj[v]) for u, v in g.edges)
 
 
 @dataclass(frozen=True)
@@ -340,10 +347,73 @@ class DTree:
     d: int
     name: ClassVar[str] = "dtree"
 
+    def contains(self, g: ColoredGraph) -> bool:
+        """Recognize graphs built from K_{d+1} by repeatedly attaching a
+        vertex to a d-clique: peel simplicial degree-d vertices down to
+        K_{d+1}."""
+        d = self.d
+        if d < 1:
+            raise DomainError(f"d must be >= 1, got {d}")
+        n = g.n
+        if n < d + 1:
+            return False
+        if len(g.edges) != n * d - (d + 1) * d // 2:
+            return False
+        adj = g.adjacency()
+        alive = set(range(n))
+        while len(alive) > d + 1:
+            victim = None
+            for v in sorted(alive):
+                nb = adj[v]
+                if len(nb) != d:
+                    continue
+                if all(b in adj[a] for a in nb for b in nb if a < b):
+                    victim = v
+                    break
+            if victim is None:
+                return False
+            for w in adj[victim]:
+                adj[w].discard(victim)
+            adj[victim] = set()
+            alive.discard(victim)
+        return all(len(adj[v]) == d for v in alive)
+
 
 @dataclass(frozen=True)
 class MaximalPlanarStacked:
     name: ClassVar[str] = "planar"
+
+    def contains(self, g: ColoredGraph) -> bool:
+        """Certificate replay.  Graphs without a construction certificate
+        are rejected (never a wrong True); the bare triangle is accepted
+        directly."""
+        n = g.n
+        if n == 3:
+            return len(g.edges) == 3
+        cert = g.certificate
+        if not isinstance(cert, StackedCertificate):
+            return False
+        a, b, c = cert.base
+        if len({a, b, c}) != 3 or not all(0 <= x < n for x in (a, b, c)):
+            return False
+        if len(cert.insertions) != n - 3:
+            return False
+        placed = {a, b, c}
+        edges = {canonical_edge(a, b), canonical_edge(a, c), canonical_edge(b, c)}
+        # the starting triangle bounds two plane faces
+        faces = Counter({frozenset((a, b, c)): 2})
+        for v, (fa, fb, fc) in cert.insertions:
+            face = frozenset((fa, fb, fc))
+            if v in placed or not (0 <= v < n) or faces[face] <= 0:
+                return False
+            faces[face] -= 1
+            for x in (fa, fb, fc):
+                edges.add(canonical_edge(v, x))
+            faces[frozenset((v, fa, fb))] += 1
+            faces[frozenset((v, fb, fc))] += 1
+            faces[frozenset((v, fa, fc))] += 1
+            placed.add(v)
+        return placed == set(range(n)) and edges == set(g.edges)
 
 
 COMPLETE = Complete()
@@ -351,88 +421,12 @@ TRIANGLE_FREE = TriangleFree()
 MAXIMAL_PLANAR_STACKED = MaximalPlanarStacked()
 
 
-def _is_triangle_free(g: ColoredGraph) -> bool:
-    adj = g.adjacency()
-    return all(not (adj[u] & adj[v]) for u, v in g.edges)
-
-
-def _is_d_tree(g: ColoredGraph, d: int) -> bool:
-    """Recognize graphs built from K_{d+1} by repeatedly attaching a vertex
-    to a d-clique: peel simplicial degree-d vertices down to K_{d+1}."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    n = g.n
-    if n < d + 1:
-        return False
-    if len(g.edges) != n * d - (d + 1) * d // 2:
-        return False
-    adj = g.adjacency()
-    alive = set(range(n))
-    while len(alive) > d + 1:
-        victim = None
-        for v in sorted(alive):
-            nb = adj[v]
-            if len(nb) != d:
-                continue
-            if all(b in adj[a] for a in nb for b in nb if a < b):
-                victim = v
-                break
-        if victim is None:
-            return False
-        for w in adj[victim]:
-            adj[w].discard(victim)
-        adj[victim] = set()
-        alive.discard(victim)
-    return all(len(adj[v]) == d for v in alive)
-
-
-def _is_stacked_planar(g: ColoredGraph) -> bool:
-    """Certificate replay.  Graphs without a construction certificate are
-    rejected (never a wrong True); the bare triangle is accepted directly."""
-    n = g.n
-    if n == 3:
-        return len(g.edges) == 3
-    cert = g.certificate
-    if not isinstance(cert, StackedCertificate):
-        return False
-    a, b, c = cert.base
-    if len({a, b, c}) != 3 or not all(0 <= x < n for x in (a, b, c)):
-        return False
-    if len(cert.insertions) != n - 3:
-        return False
-    placed = {a, b, c}
-    edges = {canonical_edge(a, b), canonical_edge(a, c), canonical_edge(b, c)}
-    # the starting triangle bounds two plane faces
-    faces = Counter({frozenset((a, b, c)): 2})
-    for v, (fa, fb, fc) in cert.insertions:
-        face = frozenset((fa, fb, fc))
-        if v in placed or not (0 <= v < n) or faces[face] <= 0:
-            return False
-        faces[face] -= 1
-        for x in (fa, fb, fc):
-            edges.add(canonical_edge(v, x))
-        faces[frozenset((v, fa, fb))] += 1
-        faces[frozenset((v, fb, fc))] += 1
-        faces[frozenset((v, fa, fc))] += 1
-        placed.add(v)
-    return placed == set(range(n)) and edges == set(g.edges)
-
-
 def host_class_check(g: ColoredGraph, host_class) -> bool:
-    """Membership test for the supported host classes.
-
-    Stacked planar graphs are validated by replaying the construction
-    certificate they carry; a graph without one is reported False.
-    """
-    if isinstance(host_class, Complete):
-        return g.is_complete
-    if isinstance(host_class, TriangleFree):
-        return _is_triangle_free(g)
-    if isinstance(host_class, DTree):
-        return _is_d_tree(g, host_class.d)
-    if isinstance(host_class, MaximalPlanarStacked):
-        return _is_stacked_planar(g)
-    raise DomainError(f"unsupported host class {host_class!r}")
+    """Membership test for the supported host classes: host_class.contains(g)."""
+    contains = getattr(host_class, "contains", None)
+    if contains is None:
+        raise DomainError(f"unsupported host class {host_class!r}")
+    return contains(g)
 
 
 # --- edge-list file format ---------------------------------------------------

@@ -132,7 +132,9 @@ def _census_met(theorem: str, n: int) -> list[bool]:
         bound = decomposition_bound(n)
         return [abs(m - 2 * e) < bound for e in range(m + 1)]
     guarantee = GUARANTEES[theorem, "complete"]
-    bound = guarantee.bound(n)
+    # below its finder's smallest order a theorem is refused, except
+    # connected: its n = 4, 5 counterexamples are the paper's exceptions
+    bound = guarantee.bound(n) if theorem == "connected" else guarantee.threshold(n)
     return [guarantee.holds(min(e, m - e), bound) for e in range(m + 1)]
 
 

@@ -217,3 +217,96 @@ def test_verify_budget_flag_allows_shard_of_n7(capsys):
     )
     assert code == 0
     assert json.loads(out.splitlines()[-1])["counterexamples"] == 0
+
+
+def test_extremal_output_file(tmp_path, capsys):
+    path = tmp_path / "forest.edges"
+    code, out, _ = run_cli(capsys, ["extremal", "forest", "10", "4", "-o", str(path)])
+    assert code == 0 and out == ""
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("# construction: forest 10 4\n")
+    g = read_edge_list(text)
+    assert g.n == 10 and len(g.edges) == 6 and set(g.sign.values()) == {-1}
+
+
+def test_extremal_unwritable_output_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(capsys, ["extremal", "forest", "10", "4", "-o", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+
+
+# K_7 with ten -1 edges: both finders succeed without an exchange chain
+K7_MINUS = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6), (0, 6), (1, 5), (2, 3)]
+
+
+def _k7_file(tmp_path):
+    from zerosum.graphs import ColoredGraph, write_edge_list
+
+    path = tmp_path / "k7.edges"
+    path.write_text(write_edge_list(ColoredGraph.complete_with_minus(7, K7_MINUS)))
+    return str(path)
+
+
+def test_find_path(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, ["find", "path", _k7_file(tmp_path)])
+    assert code == 0
+    assert out == (
+        "found: yes\n"
+        "weight: 0\n"
+        "edges: 0-6 1-5 2-4 2-5 3-4 3-6\n"
+        "certificate: cycle-decomposition part trimmed by one edge\n"
+        "chain replacements: 0\n"
+    )
+
+
+def test_find_diam3_json(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, ["find", "diam3", _k7_file(tmp_path), "--json"])
+    assert code == 0
+    assert json.loads(out) == {
+        "found": True,
+        "kind": "diameter-3-tree",
+        "edges": [[0, v] for v in range(1, 7)],
+        "weight": 0,
+        "certificate": "min{e(-1),e(1)}=10 needs > 7 = floor(n/2*floor((n-3)/2)); "
+        "spanning star used directly",
+        "chain_replacements": 0,
+    }
+
+
+def test_find_path_and_diam3_on_sharp_colourings_exit_1(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, ["extremal", "path-sharpness", "7"])
+    code, out, _ = run_cli(capsys, ["find", "path", "-"], stdin=out, monkeypatch=monkeypatch)
+    assert code == 1
+    assert out.startswith("found: no\n")
+    assert "census threshold not met: min{e(-1),e(1)}=6 <= 6" in out
+    code, out, _ = run_cli(capsys, ["extremal", "tree-sharpness", "7"])
+    code, out, _ = run_cli(capsys, ["find", "diam3", "-"], stdin=out, monkeypatch=monkeypatch)
+    assert code == 1
+    assert "hypothesis not met: min{e(-1),e(1)}=3 needs > 7" in out
+
+
+def test_find_usage_errors_are_exit_2(tmp_path, capsys):
+    path = _k7_file(tmp_path)
+    code, out, err = run_cli(capsys, ["find", "tree", path, "--host-class", "dtree"])
+    assert code == 2 and out == ""
+    assert err == "error: --d is required with --host-class dtree\n"
+    code, out, err = run_cli(capsys, ["find", "connect", path])
+    assert code == 2 and out == ""
+    assert err == "error: find connect requires --pair X Y\n"
+
+
+def test_verify_refuses_order_below_finder_domain(capsys):
+    for theorem in ("diam3", "path-census"):
+        code, out, err = run_cli(capsys, ["verify", theorem, "2", "--json"])
+        assert code == 2 and out == ""
+        assert err == "error: need n >= 3, got n=2\n"
+    # tree and path-decomposition accept K_2; connected keeps its small
+    # orders, whose n = 4, 5 counterexamples are the paper's exceptions
+    for theorem, met in (("tree", 0), ("path-decomposition", 2), ("connected", 0)):
+        code, out, _ = run_cli(capsys, ["verify", theorem, "2"])
+        assert code == 0
+        assert out == (
+            f"{theorem} n=2: 2 colourings, {met} met the hypothesis, {met} confirmed, "
+            "0 counterexamples\n"
+        )

@@ -1,9 +1,13 @@
+import hashlib
 import itertools
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from zerosum.errors import BudgetExceeded, DomainError
 from zerosum.extremal import (
+    CONSTRUCTIONS,
     BipartiteSharpness,
     ConnectivityMatching,
     ConnectivitySmall,
@@ -29,6 +33,7 @@ from zerosum.graphs import (
     binomial,
     census,
     host_class_check,
+    write_edge_list,
 )
 from zerosum.oracle import EnumerationBudget
 from zerosum.thresholds import (
@@ -227,3 +232,74 @@ def test_domain_validation():
         make_extremal_graph(TuranLinearForest(5, 5, "clique"))
     with pytest.raises(DomainError):
         make_extremal_graph(TuranLinearForest(6, 3, "other"))
+
+
+# every construction's CLI parameters, in order; the digest below runs
+# each integer field over 0..8 and `which` over these values
+CONSTRUCTION_PARAMS = {
+    "turan-linear-forest": ("n", "k", "which"),
+    "forest": ("n", "k"),
+    "star-circulant": ("n", "k"),
+    "path-sharpness": ("n",),
+    "tree-sharpness": ("n",),
+    "bipartite-sharpness": ("n",),
+    "dtree-sharpness": ("n", "d"),
+    "planar-sharpness": ("n",),
+    "connectivity-small": ("n",),
+    "connectivity-matching": ("n",),
+    "no-length2": ("n",),
+    "no-zero-sum-star": ("n",),
+    "matching-k4n": ("t",),
+}
+WHICH_VALUES = ("clique", "join", "x")
+# K_36 already refuses its 35!! matchings; t <= 1 keeps the run short
+PARAM_LIMITS = {"matching-k4n": 2}
+
+# SHA-256 over, for every parameter set, the edge-list text with its
+# construction header and the verify_extremal verdict (or the type and
+# message of the DomainError/BudgetExceeded raised instead), then the
+# three construction_from_args error messages; recorded before the
+# constructions became one class each
+CONSTRUCTION_DIGEST = "51030064bc4edcf7a3a8ea6904c59eb4b7d815b31d48e09e200f283f9a58bd24"
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except (DomainError, BudgetExceeded) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_constructions_unchanged():
+    digest = hashlib.sha256()
+    for name, params in CONSTRUCTION_PARAMS.items():
+        limit = PARAM_LIMITS.get(name, 9)
+        choices = [WHICH_VALUES if p == "which" else range(limit) for p in params]
+        for values in itertools.product(*choices):
+            cid = construction_from_args(name, [str(v) for v in values])
+            text = _outcome(
+                lambda: write_edge_list(
+                    make_extremal_graph(cid), header_comments=[construction_header(cid)]
+                )
+            )
+            verdict = _outcome(lambda: verify_extremal(cid))
+            digest.update(repr((name, values, text, verdict)).encode())
+    for name, params in (("nope", ["1"]), ("forest", ["1"]), ("forest", ["a", "b"])):
+        digest.update(_outcome(lambda: construction_from_args(name, params)).encode())
+    assert digest.hexdigest() == CONSTRUCTION_DIGEST
+
+
+def test_construction_params_are_the_class_fields():
+    assert {
+        name: tuple(f.name for f in fields(cls)) for name, cls in CONSTRUCTIONS.items()
+    } == CONSTRUCTION_PARAMS
+    assert all(cls.name == name for name, cls in CONSTRUCTIONS.items())
+
+
+def test_readme_lists_every_construction():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Constructions for `zerosum extremal`:")
+    paragraph = " ".join(readme[start : readme.index("\n\n", start)].split())
+    for name, params in CONSTRUCTION_PARAMS.items():
+        usage = " ".join([name] + ["clique|join" if p == "which" else p for p in params])
+        assert f"`{usage}`" in paragraph, usage
