@@ -15,6 +15,7 @@ from .graphs import (
     TriangleFree,
     census,
     host_class_check,
+    is_diam3_tree,
     is_forest,
     is_hamiltonian_path,
     is_linear_forest,

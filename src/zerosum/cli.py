@@ -124,7 +124,7 @@ def _cmd_find(args) -> int:
             raise DomainError("find connect requires --pair X Y")
         report = finders.find_zero_sum_path_leq4(g, args.pair[0], args.pair[1])
         return _print_report(report, "path-leq-4", args.json)
-    report = finders.check_zero_sum_matching(g)
+    report = finders.check_zero_sum_matching(g, _budget_from_env())
     return _print_report(report, "perfect-matching", args.json)
 
 

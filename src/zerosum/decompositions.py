@@ -4,11 +4,17 @@ The classical zig-zag construction is fixed as the canonical output so
 that every run of the package produces identical decompositions: path i
 is the rotation by i of the order 0, 1, n-1, 2, n-2, ... which walks
 through every circular difference exactly once.
+
+The part orders and edge sets depend only on n, so they are built once
+per (n, kind) and kept for the last few orders asked for; each call binds
+them to its host.  The parts themselves are never kept, because each is
+bound to one host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError
 from .graphs import ColoredGraph, EdgeSubgraph, canonical_edge
@@ -33,24 +39,38 @@ def _zigzag(n: int, offset: int) -> list[int]:
     return [(x + offset) % n for x in order]
 
 
-def _edges_of_order(host: ColoredGraph, order, close: bool = False) -> EdgeSubgraph:
-    edges = {canonical_edge(order[i], order[i + 1]) for i in range(len(order) - 1)}
-    if close:
-        edges.add(canonical_edge(order[-1], order[0]))
-    return EdgeSubgraph(host, edges)
+# the parts of K_n hold all C(n,2) of its edges, so only a few orders are kept
+@lru_cache(maxsize=4)
+def _zigzag_parts(n: int, cycles: bool):
+    """(orders, edge sets) of the zig-zag paths (or cycles through the hub
+    n-1) of K_n."""
+    if cycles:
+        orders = tuple((n - 1,) + tuple(_zigzag(n - 1, i)) for i in range((n - 1) // 2))
+    else:
+        orders = tuple(tuple(_zigzag(n, i)) for i in range(n // 2))
+    edge_sets = []
+    for order in orders:
+        edges = {canonical_edge(a, b) for a, b in zip(order, order[1:])}
+        if cycles:
+            edges.add(canonical_edge(order[-1], order[0]))
+        edge_sets.append(frozenset(edges))
+    return orders, tuple(edge_sets)
+
+
+def _decomposition(n: int, host: ColoredGraph | None, cycles: bool) -> Decomposition:
+    if host is None:
+        host = ColoredGraph.complete(n)
+    elif host.n != n or not host.is_complete:
+        raise DomainError("host must be the complete graph on n vertices")
+    orders, edge_sets = _zigzag_parts(n, cycles)
+    return Decomposition(tuple(EdgeSubgraph._unchecked(host, e) for e in edge_sets), orders)
 
 
 def hamilton_path_decomposition(n: int, host: ColoredGraph | None = None) -> Decomposition:
     """Decompose K_n (n even) into n/2 edge-disjoint Hamiltonian paths."""
     if n < 2 or n % 2 != 0:
         raise DomainError(f"path decomposition needs even n >= 2, got {n}")
-    if host is None:
-        host = ColoredGraph.complete(n)
-    elif host.n != n or not host.is_complete:
-        raise DomainError("host must be the complete graph on n vertices")
-    orders = tuple(tuple(_zigzag(n, i)) for i in range(n // 2))
-    parts = tuple(_edges_of_order(host, order) for order in orders)
-    return Decomposition(parts, orders)
+    return _decomposition(n, host, cycles=False)
 
 
 def hamilton_cycle_decomposition(n: int, host: ColoredGraph | None = None) -> Decomposition:
@@ -62,12 +82,4 @@ def hamilton_cycle_decomposition(n: int, host: ColoredGraph | None = None) -> De
     """
     if n < 3 or n % 2 != 1:
         raise DomainError(f"cycle decomposition needs odd n >= 3, got {n}")
-    if host is None:
-        host = ColoredGraph.complete(n)
-    elif host.n != n or not host.is_complete:
-        raise DomainError("host must be the complete graph on n vertices")
-    orders = tuple(
-        (n - 1,) + tuple(_zigzag(n - 1, i)) for i in range((n - 1) // 2)
-    )
-    parts = tuple(_edges_of_order(host, order, close=True) for order in orders)
-    return Decomposition(parts, orders)
+    return _decomposition(n, host, cycles=True)

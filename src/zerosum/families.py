@@ -31,10 +31,11 @@ from .graphs import (
     EdgeSubgraph,
     binomial,
     canonical_edge,
+    is_diam3_tree,
     is_hamiltonian_path,
     is_matching,
     is_spanning_tree,
-    tree_diameter,
+    tree_diameter,  # noqa: F401  (bench/spans.py wraps the validators by their names here)
     weight,
 )
 
@@ -309,6 +310,25 @@ def diam3_exchange_chain(t_from: EdgeSubgraph, t_to: EdgeSubgraph) -> ExchangeCh
 
 
 @dataclass(frozen=True)
+class EnumerationBudget:
+    """Caps on exhaustive enumerations and searches; a family's budget_field
+    names the cap that applies to it."""
+
+    max_spanning_trees: int = 262_144
+    max_colorings: int = 32_768
+    max_matchings: int = 2_100_000
+    max_paths: int = 1_900_000
+
+    def __post_init__(self):
+        for name in ("max_spanning_trees", "max_colorings", "max_matchings", "max_paths"):
+            if getattr(self, name) <= 0:
+                raise DomainError(f"{name} must be positive")
+
+
+DEFAULT_BUDGET = EnumerationBudget()
+
+
+@dataclass(frozen=True)
 class SpanningTrees:
     host: ColoredGraph
     guarantee: ClassVar[str] = "tree"
@@ -365,7 +385,7 @@ class Diam3Trees:
             raise DomainError("diameter-3 tree family requires a complete host")
 
     def is_member(self, h: EdgeSubgraph) -> bool:
-        return is_spanning_tree(h) and tree_diameter(h) <= 3
+        return is_diam3_tree(h)
 
     chain = staticmethod(_diam3_chain)
 

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .decompositions import hamilton_cycle_decomposition, hamilton_path_decomposition
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 from .families import (
+    DEFAULT_BUDGET,
     Diam3Trees,
+    EnumerationBudget,
     HamiltonianPaths,
     SpanningTrees,
     interpolate_traced,
@@ -31,7 +33,7 @@ from .graphs import (
     is_hamiltonian_path,
     is_matching,
     is_spanning_tree,
-    tree_diameter,
+    tree_diameter,  # noqa: F401  (bench/spans.py wraps the validators by their names here)
     weight,
 )
 from .thresholds import GUARANTEES
@@ -71,14 +73,18 @@ def extract_monochromatic_forest(g: ColoredGraph, sign: int, k: int) -> EdgeSubg
 
 def _complete_to_spanning_tree(g: ColoredGraph, base: frozenset) -> EdgeSubgraph:
     """Extend an acyclic edge set to a spanning tree, adding host edges in
-    canonical order and skipping cycle creators."""
+    canonical order and skipping cycle creators; stops once n-1 edges are
+    in, as every later edge would close a cycle."""
     uf = UnionFind(g.n)
     edges = set(base)
     for u, v in base:
         uf.union(u, v)
+    size = g.n - 1
     for e in g.edges:
         if e not in edges and uf.union(*e):
             edges.add(e)
+            if len(edges) == size:
+                break
     return EdgeSubgraph._unchecked(g, frozenset(edges))
 
 
@@ -328,39 +334,38 @@ def find_zero_sum_diam3_tree(g: ColoredGraph) -> FindReport:
     if not holds:
         return FindReport(False, None, 0, f"hypothesis not met: {descr}", 0)
     # a colour class larger than the star threshold has a vertex carrying
-    # at least k incident edges of that colour
-    stars = {}
-    for sign in (-1, 1):
-        deg = [0] * n
-        for (u, v), c in g.sign.items():
-            if c == sign:
-                deg[u] += 1
-                deg[v] += 1
+    # at least k incident edges of that colour; in K_n a vertex has n-1
+    # edges, so its +1 degree is what its -1 degree leaves
+    deg_minus = [m.bit_count() for m in g.minus_masks()]
+    stars = []
+    for deg in (deg_minus, [n - 1 - d for d in deg_minus]):
         centre = max(range(n), key=lambda v: (deg[v], -v))
         assert deg[centre] >= k
-        stars[sign] = EdgeSubgraph._unchecked(
-            g, frozenset(canonical_edge(centre, x) for x in range(n) if x != centre)
+        stars.append(
+            EdgeSubgraph._unchecked(
+                g, frozenset(canonical_edge(centre, x) for x in range(n) if x != centre)
+            )
         )
-
-    def diam3_ok(sub):
-        return is_spanning_tree(sub) and tree_diameter(sub) <= 3
-
-    for sub in (stars[-1], stars[1]):
+    kind = Diam3Trees(g)
+    for sub in stars:
         if abs(weight(sub)) <= 1:
-            return _validated(sub, diam3_ok, f"{descr}; spanning star used directly", 0)
-    member, reps = interpolate_traced(Diam3Trees(g), stars[-1], stars[1])
-    return _validated(member, diam3_ok, f"{descr}; interpolated", reps)
+            return _validated(sub, kind.is_member, f"{descr}; spanning star used directly", 0)
+    member, reps = interpolate_traced(kind, stars[0], stars[1])
+    return _validated(member, kind.is_member, f"{descr}; interpolated", reps)
 
 
 # --- short zero-sum paths between two vertices --------------------------------
 
 
 def _path_report(g, vertices, certificate) -> FindReport:
-    edges = frozenset(canonical_edge(a, b) for a, b in zip(vertices, vertices[1:]))
-    sub = EdgeSubgraph._unchecked(g, edges)
-    w = weight(sub)
-    assert w == 0 and len(edges) == len(vertices) - 1
-    return FindReport(True, sub, 0, certificate, 0)
+    """Report the path through vertices after checking from the host's -1
+    masks that half of its edges are -1, so its weight is 0."""
+    minus = g.minus_masks()
+    steps = list(zip(vertices, vertices[1:]))
+    edges = frozenset(canonical_edge(a, b) for a, b in steps)
+    n_minus = sum((minus[a] >> b) & 1 for a, b in steps)
+    assert 2 * n_minus == len(edges) == len(vertices) - 1
+    return FindReport(True, EdgeSubgraph._unchecked(g, edges), 0, certificate, 0)
 
 
 def _low(mask: int) -> int:
@@ -473,19 +478,34 @@ def find_zero_sum_path_leq4(g: ColoredGraph, x: int, y: int) -> FindReport:
 # --- perfect matchings (experimental exhaustive probe) -------------------------
 
 
-def check_zero_sum_matching(g: ColoredGraph) -> FindReport:
+def check_zero_sum_matching(
+    g: ColoredGraph, budget: EnumerationBudget | None = None
+) -> FindReport:
     """Exhaustive backtracking search for a zero-sum perfect matching of
-    K_n with n divisible by 4 (otherwise parity forbids weight 0)."""
+    K_n with n divisible by 4 (otherwise parity forbids weight 0).
+
+    Refuses with BudgetExceeded once the search has visited more than the
+    budget's max_matchings nodes (partial matchings), rather than run on.
+    """
     if not g.is_complete:
         raise DomainError("host must be complete")
     n = g.n
     if n % 4 != 0 or n == 0:
         raise DomainError(f"zero-sum perfect matchings need n divisible by 4, got n={n}")
+    limit = (budget or DEFAULT_BUDGET).max_matchings
     sign = g.sign
     used = [False] * n
     picked: list[tuple[int, int]] = []
+    nodes = 0
 
     def rec(current: int, remaining: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceeded(
+                f"zero-sum matching search on K_{n} passed {limit:,} search nodes; "
+                f"requires max_matchings > {limit:,}"
+            )
         # remaining edges can move the weight by at most `remaining`
         if abs(current) > remaining:
             return False

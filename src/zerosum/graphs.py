@@ -164,7 +164,9 @@ class ColoredGraph:
         for u, v in self.edges:
             if uf.union(u, v):
                 merges += 1
-        return merges == self.n - 1
+                if merges == self.n - 1:
+                    return True
+        return False
 
     def flipped(self) -> "ColoredGraph":
         """Same graph with every sign negated."""
@@ -269,18 +271,41 @@ def is_spanning_tree(h: EdgeSubgraph) -> bool:
 
 
 def is_linear_forest(h: EdgeSubgraph) -> bool:
-    deg = Counter()
+    """True when the edges form vertex-disjoint paths: no vertex of degree
+    above 2 and no cycle, decided in one pass."""
+    n = h.host.n
+    deg = [0] * n
+    uf = UnionFind(n)
     for u, v in h.edges:
         deg[u] += 1
         deg[v] += 1
-        if deg[u] > 2 or deg[v] > 2:
+        if deg[u] > 2 or deg[v] > 2 or not uf.union(u, v):
             return False
-    return is_forest(h)
+    return True
 
 
 def is_hamiltonian_path(h: EdgeSubgraph) -> bool:
-    """True when the edges form a single path through every host vertex."""
-    return is_spanning_tree(h) and is_linear_forest(h)
+    """True when the edges form a single path through every host vertex:
+    a linear forest with n-1 edges has one component."""
+    return len(h.edges) == h.host.n - 1 and is_linear_forest(h)
+
+
+def is_diam3_tree(h: EdgeSubgraph) -> bool:
+    """True for a spanning tree of diameter at most 3, from degrees alone.
+
+    Such a tree has at most two vertices of degree >= 2 (two are then
+    adjacent: a double star).  With n-1 edges that is also enough, since
+    a cycle needs three vertices of degree >= 2, and n-1 acyclic edges
+    span the host.
+    """
+    n = h.host.n
+    if len(h.edges) != n - 1:
+        return False
+    deg = [0] * n
+    for u, v in h.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return n - deg.count(1) - deg.count(0) <= 2
 
 
 def is_matching(h: EdgeSubgraph) -> bool:

@@ -20,25 +20,17 @@ from typing import Iterator, Optional, Union
 
 from . import finders
 from .errors import BudgetExceeded, DomainError
-from .families import Diam3Trees, FamilyKind, HamiltonianPaths, PerfectMatchings, SpanningTrees
+from .families import (
+    DEFAULT_BUDGET,
+    Diam3Trees,
+    EnumerationBudget,
+    FamilyKind,
+    HamiltonianPaths,
+    PerfectMatchings,
+    SpanningTrees,
+)
 from .graphs import ColoredGraph, EdgeSubgraph, binomial, canonical_edge, complete_edges
 from .thresholds import GUARANTEES, decomposition_bound
-
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_spanning_trees: int = 262_144
-    max_colorings: int = 32_768
-    max_matchings: int = 2_100_000
-    max_paths: int = 1_900_000
-
-    def __post_init__(self):
-        for name in ("max_spanning_trees", "max_colorings", "max_matchings", "max_paths"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
-
-
-DEFAULT_BUDGET = EnumerationBudget()
 
 
 def enumerate_family(

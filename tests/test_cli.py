@@ -4,7 +4,7 @@ import json
 import pytest
 
 from zerosum.cli import main
-from zerosum.graphs import read_edge_list
+from zerosum.graphs import ColoredGraph, read_edge_list, write_edge_list
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -117,6 +117,13 @@ def test_find_matching_json(capsys, monkeypatch):
         capsys, ["find", "matching", "-", "--json"], stdin=text, monkeypatch=monkeypatch
     )
     assert code == 0 and json.loads(out)["weight"] == 0
+
+
+def test_find_matching_refuses_past_budget(capsys, monkeypatch):
+    monkeypatch.setenv("ZEROSUM_BUDGET", "10000")
+    text = write_edge_list(ColoredGraph.complete(24))
+    code, out, err = run_cli(capsys, ["find", "matching", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 3 and out == "" and err.startswith("refused: ") and "max_matchings" in err
 
 
 def test_malformed_file_is_exit_2_with_line(capsys, monkeypatch):

@@ -9,7 +9,9 @@ from zerosum.graphs import (
     ColoredGraph,
     EdgeSubgraph,
     binomial,
+    complete_edges,
     is_hamiltonian_path,
+    weight,
 )
 
 
@@ -71,8 +73,19 @@ def test_deterministic_output():
 
 
 def test_host_reuse():
-    g = ColoredGraph.complete_with_minus(6, [(0, 1)])
-    dec = hamilton_path_decomposition(6, host=g)
-    assert all(p.host is g for p in dec.parts)
-    with pytest.raises(DomainError):
-        hamilton_path_decomposition(6, host=ColoredGraph.complete(8))
+    # two colourings of one K_n, asked for in turn: each call's parts
+    # belong to its own host and weigh by that host's -1 edges
+    for decompose, n in [(hamilton_path_decomposition, 6), (hamilton_cycle_decomposition, 7)]:
+        minus_sets = [{(0, 1)}, {e for e in complete_edges(n) if e[0] == 0}]
+        hosts = [ColoredGraph.complete_with_minus(n, minus) for minus in minus_sets]
+        for g, minus in zip(hosts + hosts, minus_sets + minus_sets):
+            dec = decompose(n, host=g)
+            assert all(p.host is g for p in dec.parts)
+            assert [weight(p) for p in dec.parts] == [
+                len(p.edges) - 2 * len(p.edges & minus) for p in dec.parts
+            ]
+        assert [p.edges for p in decompose(n, host=hosts[0]).parts] == [
+            p.edges for p in decompose(n).parts
+        ]
+        with pytest.raises(DomainError):
+            decompose(n, host=ColoredGraph.complete(n + 2))

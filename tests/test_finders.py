@@ -1,10 +1,11 @@
 import hashlib
 import random
+import time
 
 import pytest
 
 from conftest import complete_from_mask, random_complete
-from zerosum.errors import DomainError
+from zerosum.errors import BudgetExceeded, DomainError
 from zerosum.extremal import (
     ConnectivityMatching,
     ConnectivitySmall,
@@ -37,7 +38,7 @@ from zerosum.graphs import (
     tree_diameter,
     weight,
 )
-from zerosum.oracle import enumerate_family
+from zerosum.oracle import EnumerationBudget, enumerate_family
 from zerosum.thresholds import ex_forest
 
 
@@ -374,6 +375,20 @@ def test_matching_k8_random():
         report = check_zero_sum_matching(g)
         if report.found:
             assert weight(report.subgraph) == 0
+
+
+def test_matching_search_refuses_past_its_budget():
+    # all +1: no zero-sum matching, and about 10^8 search nodes on K_24
+    g = ColoredGraph.complete(24)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="max_matchings"):
+        check_zero_sum_matching(g, EnumerationBudget(max_matchings=10_000))
+    assert time.perf_counter() - start < 1.0
+    # K_4 with one -1 edge finds its matching within three search nodes
+    g = ColoredGraph.complete_with_minus(4, [(0, 1)])
+    assert check_zero_sum_matching(g, EnumerationBudget(max_matchings=3)).found
+    with pytest.raises(BudgetExceeded):
+        check_zero_sum_matching(g, EnumerationBudget(max_matchings=2))
 
 
 # --- pinned finder outputs ---

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -17,6 +18,7 @@ from zerosum.graphs import (
     census,
     complete_edges,
     host_class_check,
+    is_diam3_tree,
     is_forest,
     is_hamiltonian_path,
     is_linear_forest,
@@ -149,6 +151,29 @@ def test_structural_predicates():
     assert not is_matching(EdgeSubgraph(g, [(0, 1), (1, 2)]))
     with pytest.raises(DomainError):
         tree_diameter(EdgeSubgraph(g, [(0, 1)]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_pass_member_tests_match_their_definitions(n):
+    g = ColoredGraph.complete(n)
+    edges = g.edges
+    counts = [0, 0]
+    for mask in range(1 << len(edges)):
+        h = EdgeSubgraph._unchecked(
+            g, frozenset(e for i, e in enumerate(edges) if (mask >> i) & 1)
+        )
+        tree = is_spanning_tree(h)
+        diam3 = tree and tree_diameter(h) <= 3
+        path = tree and is_linear_forest(h)
+        assert is_diam3_tree(h) == diam3, sorted(h.edges)
+        assert is_hamiltonian_path(h) == path, sorted(h.edges)
+        counts[0] += diam3
+        counts[1] += path
+    # diameter-3 trees and Hamiltonian paths of K_n, by their closed forms
+    assert counts == [
+        1 if n <= 2 else n + n * (n - 1) // 2 * (2 ** (n - 2) - 2),
+        max(1, math.factorial(n) // 2),
+    ]
 
 
 def test_spanning_tree_characterization():
