@@ -46,6 +46,50 @@ def _clique_edges(vertices) -> set:
     return {(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]}
 
 
+def _find_linear_forest(g: ColoredGraph, sign: int, k: int):
+    """Exhaustive backtracking search for a k-edge monochromatic linear
+    forest; None when the colour class has none."""
+    if k == 0:
+        return frozenset()
+    pool = [e for e in g.edges if g.sign[e] == sign]
+    if len(pool) < k:
+        return None
+    deg = [0] * g.n
+    comp = list(range(g.n))  # union-find without compression, undoable
+    chosen: list[tuple[int, int]] = []
+
+    def find(x):
+        while comp[x] != x:
+            x = comp[x]
+        return x
+
+    def rec(start):
+        if len(chosen) == k:
+            return True
+        if len(pool) - start < k - len(chosen):
+            return False
+        for i in range(start, len(pool)):
+            u, v = pool[i]
+            if deg[u] >= 2 or deg[v] >= 2:
+                continue
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                continue
+            comp[rv] = ru
+            deg[u] += 1
+            deg[v] += 1
+            chosen.append((u, v))
+            if rec(i + 1):
+                return True
+            comp[rv] = rv
+            deg[u] -= 1
+            deg[v] -= 1
+            chosen.pop()
+        return False
+
+    return frozenset(chosen) if rec(0) else None
+
+
 def _linear_forest_witness_edges(n: int, k: int, which: str) -> set:
     if not 1 <= k <= n - 1:
         raise DomainError(f"need 1 <= k <= n-1, got n={n}, k={k}")
@@ -176,7 +220,7 @@ class TuranLinearForest:
             if self.which == "clique"
             else binomial(n, 2) - binomial(n - (k - 1) // 2, 2) + (k - 1) % 2
         )
-        return len(g.edges) == expected and finders._find_linear_forest(g, -1, k) is None
+        return len(g.edges) == expected and _find_linear_forest(g, -1, k) is None
 
 
 @dataclass(frozen=True)

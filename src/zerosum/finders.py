@@ -95,6 +95,22 @@ def _validated(sub: EdgeSubgraph, predicate, certificate: str, replacements: int
     return FindReport(True, sub, w, certificate, replacements)
 
 
+def _settle(kind, weights, seed, predicate, direct_text, walked_text) -> Optional[FindReport]:
+    """Report from seed members of the given weights, seed(i) building the
+    i-th: the first seed with |w| <= 1 directly, otherwise the member the
+    chain walk from the lightest seed to the heaviest stops at.  None when
+    the seed weights do not straddle zero."""
+    for i, w in enumerate(weights):
+        if abs(w) <= 1:
+            return _validated(seed(i), predicate, direct_text, 0)
+    lo = min(range(len(weights)), key=weights.__getitem__)
+    hi = max(range(len(weights)), key=weights.__getitem__)
+    if not weights[lo] < 0 < weights[hi]:
+        return None
+    member, reps = interpolate_traced(kind, seed(lo), seed(hi))
+    return _validated(member, predicate, walked_text, reps)
+
+
 def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindReport:
     """Spanning tree with |weight| <= 1, certified by the census threshold
     of the host class."""
@@ -126,67 +142,50 @@ def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindRep
         return FindReport(
             False, None, 0, f"forest extraction fell short on the {short} class ({descr})", 0
         )
-    t_minus = _complete_to_spanning_tree(g, f_minus.edges)
-    t_plus = _complete_to_spanning_tree(g, f_plus.edges)
-    for tree in (t_minus, t_plus):
-        if abs(weight(tree)) <= 1:
-            return _validated(tree, is_spanning_tree, f"{descr}; direct completion", 0)
-    member, reps = interpolate_traced(SpanningTrees(g), t_minus, t_plus)
-    return _validated(member, is_spanning_tree, f"{descr}; interpolated", reps)
+    trees = [_complete_to_spanning_tree(g, f.edges) for f in (f_minus, f_plus)]
+    report = _settle(
+        SpanningTrees(g),
+        [weight(t) for t in trees],
+        trees.__getitem__,
+        is_spanning_tree,
+        f"{descr}; direct completion",
+        f"{descr}; interpolated",
+    )
+    assert report is not None, "seed trees of a met hypothesis straddle zero"
+    return report
 
 
 # --- spanning paths -----------------------------------------------------------
 
 
-def _first_edge_of_sign(g: ColoredGraph, part: EdgeSubgraph, sign: int):
-    for e in sorted(part.edges):
-        if g.sign[e] == sign:
-            return e
-    return None
+def _linear_forest(g: ColoredGraph, sign: int, k: int) -> Optional[frozenset]:
+    """A k-edge linear forest inside one colour class, or None.
 
-
-def _find_linear_forest(g: ColoredGraph, sign: int, k: int):
-    """Exhaustive backtracking search for a k-edge monochromatic linear
-    forest; None when the colour class has none."""
-    if k == 0:
-        return frozenset()
+    One greedy pass over the class's edges, lowest sum of endpoint class
+    degrees first (ties in canonical order): an edge is taken when both
+    ends have forest degree < 2 and it does not join the two ends of one
+    path.  end[v] is the other end of the path that v ends, v itself while
+    v is isolated, so no union-find is needed.
+    """
     pool = [e for e in g.edges if g.sign[e] == sign]
-    if len(pool) < k:
-        return None
     deg = [0] * g.n
-    comp = list(range(g.n))  # union-find without compression, undoable
-    chosen: list[tuple[int, int]] = []
-
-    def find(x):
-        while comp[x] != x:
-            x = comp[x]
-        return x
-
-    def rec(start):
+    for u, v in pool:
+        deg[u] += 1
+        deg[v] += 1
+    pool.sort(key=lambda e: (deg[e[0]] + deg[e[1]], e))
+    forest_deg = [0] * g.n
+    end = list(range(g.n))
+    chosen = []
+    for u, v in pool:
         if len(chosen) == k:
-            return True
-        if len(pool) - start < k - len(chosen):
-            return False
-        for i in range(start, len(pool)):
-            u, v = pool[i]
-            if deg[u] >= 2 or deg[v] >= 2:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            comp[rv] = ru
-            deg[u] += 1
-            deg[v] += 1
+            break
+        if forest_deg[u] < 2 and forest_deg[v] < 2 and end[u] != v:
+            a, b = end[u], end[v]
+            end[a], end[b] = b, a
+            forest_deg[u] += 1
+            forest_deg[v] += 1
             chosen.append((u, v))
-            if rec(i + 1):
-                return True
-            comp[rv] = rv
-            deg[u] -= 1
-            deg[v] -= 1
-            chosen.pop()
-        return False
-
-    return frozenset(chosen) if rec(0) else None
+    return frozenset(chosen) if len(chosen) == k else None
 
 
 def _linear_forest_to_hampath(g: ColoredGraph, forest: frozenset) -> EdgeSubgraph:
@@ -220,16 +219,15 @@ def _linear_forest_to_hampath(g: ColoredGraph, forest: frozenset) -> EdgeSubgrap
     return EdgeSubgraph._unchecked(g, frozenset(edges))
 
 
-def find_zero_sum_spanning_path(g: ColoredGraph, fallback_max_n: int = 12) -> FindReport:
+def find_zero_sum_spanning_path(g: ColoredGraph) -> FindReport:
     """Hamiltonian path with |weight| <= 1 of a complete host.
 
     Tries the decomposition route first: split K_n into spanning paths
-    (n even) or spanning cycles (n odd), look for a part usable directly,
-    otherwise interpolate between the lowest- and highest-weight parts.
-    When every part sits strictly on one side, falls back to the census
-    route: exhaustive search for half-sized monochromatic linear forests,
-    completion, interpolation.  The fallback search runs only for hosts
-    with n <= fallback_max_n.
+    (n even) or spanning cycles (n odd, each trimmed by one edge of its
+    weight's sign), use a part directly if it can be, otherwise
+    interpolate between the lowest- and highest-weight parts.  When every
+    part sits strictly on one side, falls back to the census route:
+    half-sized monochromatic linear forests, completion, interpolation.
     """
     if not g.is_complete:
         raise DomainError("host must be complete")
@@ -237,51 +235,32 @@ def find_zero_sum_spanning_path(g: ColoredGraph, fallback_max_n: int = 12) -> Fi
     if n < 2:
         raise DomainError("need at least 2 vertices")
     kind = HamiltonianPaths(g)
-    routes = []
 
     if n % 2 == 0:
+        route = "path-decomposition"
         parts = hamilton_path_decomposition(n, host=g).parts
         weights = [weight(p) for p in parts]
-        for part, w in zip(parts, weights):
-            if abs(w) <= 1:
-                return _validated(
-                    part, is_hamiltonian_path, "path-decomposition part used directly", 0
-                )
-        lo = parts[min(range(len(parts)), key=lambda i: weights[i])]
-        hi = parts[max(range(len(parts)), key=lambda i: weights[i])]
-        if weight(lo) < 0 < weight(hi):
-            member, reps = interpolate_traced(kind, lo, hi)
-            return _validated(
-                member, is_hamiltonian_path, "path-decomposition interpolation", reps
-            )
-        routes.append("path-decomposition route failed: all part weights one-signed")
+        seed = parts.__getitem__
+        direct = "path-decomposition part used directly"
     else:
+        route = "cycle-decomposition"
         parts = hamilton_cycle_decomposition(n, host=g).parts
-        weights = [weight(p) for p in parts]
-        for part, w in zip(parts, weights):
-            if abs(w) == 1:
-                drop = _first_edge_of_sign(g, part, 1 if w == 1 else -1)
-                path = EdgeSubgraph._unchecked(g, part.edges - {drop})
-                return _validated(
-                    path, is_hamiltonian_path, "cycle-decomposition part trimmed by one edge", 0
-                )
-        i_lo = min(range(len(parts)), key=lambda i: weights[i])
-        i_hi = max(range(len(parts)), key=lambda i: weights[i])
-        if weights[i_lo] < 0 < weights[i_hi]:
-            e_lo = _first_edge_of_sign(g, parts[i_lo], -1)
-            e_hi = _first_edge_of_sign(g, parts[i_hi], 1)
-            p_lo = EdgeSubgraph._unchecked(g, parts[i_lo].edges - {e_lo})
-            p_hi = EdgeSubgraph._unchecked(g, parts[i_hi].edges - {e_hi})
-            for path in (p_lo, p_hi):
-                if abs(weight(path)) <= 1:
-                    return _validated(
-                        path, is_hamiltonian_path, "cycle-decomposition part trimmed by one edge", 0
-                    )
-            member, reps = interpolate_traced(kind, p_lo, p_hi)
-            return _validated(
-                member, is_hamiltonian_path, "cycle-decomposition interpolation", reps
-            )
-        routes.append("cycle-decomposition route failed: all part weights one-signed")
+        # n is odd, so no cycle weighs 0; dropping the first edge of its
+        # weight's sign moves a cycle's weight one step toward zero
+        cycle_weights = [weight(p) for p in parts]
+        weights = [w - 1 if w > 0 else w + 1 for w in cycle_weights]
+
+        def seed(i):
+            s = 1 if cycle_weights[i] > 0 else -1
+            edges = parts[i].edges
+            drop = next(e for e in sorted(edges) if g.sign[e] == s)
+            return EdgeSubgraph._unchecked(g, edges - {drop})
+
+        direct = "cycle-decomposition part trimmed by one edge"
+    report = _settle(kind, weights, seed, is_hamiltonian_path, direct, f"{route} interpolation")
+    if report is not None:
+        return report
+    routes = [f"{route} route failed: all part weights one-signed"]
 
     guarantee = GUARANTEES["path-census", "complete"]
     if n < guarantee.min_n(0):
@@ -290,31 +269,23 @@ def find_zero_sum_spanning_path(g: ColoredGraph, fallback_max_n: int = 12) -> Fi
         holds, text = guarantee.condition(n, census(g).minimum)
         if not holds:
             routes.append(text)
-        elif n > fallback_max_n:
-            routes.append(
-                f"census threshold met but search skipped: n={n} > budget {fallback_max_n}"
-            )
         else:
             k = guarantee.k(n)
-            lf_minus = _find_linear_forest(g, -1, k)
-            lf_plus = _find_linear_forest(g, 1, k)
-            if lf_minus is None or lf_plus is None:
+            forests = [_linear_forest(g, s, k) for s in (-1, 1)]
+            if None in forests:
                 routes.append("census threshold met but no half-sized linear forest found")
             else:
-                p_minus = _linear_forest_to_hampath(g, lf_minus)
-                p_plus = _linear_forest_to_hampath(g, lf_plus)
-                for path in (p_minus, p_plus):
-                    if abs(weight(path)) <= 1:
-                        return _validated(
-                            path,
-                            is_hamiltonian_path,
-                            "census-route completion used directly",
-                            0,
-                        )
-                member, reps = interpolate_traced(kind, p_minus, p_plus)
-                return _validated(
-                    member, is_hamiltonian_path, "census-route interpolation", reps
+                paths = [_linear_forest_to_hampath(g, f) for f in forests]
+                report = _settle(
+                    kind,
+                    [weight(p) for p in paths],
+                    paths.__getitem__,
+                    is_hamiltonian_path,
+                    "census-route completion used directly",
+                    "census-route interpolation",
                 )
+                assert report is not None, "census-route seed paths straddle zero"
+                return report
     return FindReport(False, None, 0, "; ".join(routes), 0)
 
 
@@ -347,11 +318,16 @@ def find_zero_sum_diam3_tree(g: ColoredGraph) -> FindReport:
             )
         )
     kind = Diam3Trees(g)
-    for sub in stars:
-        if abs(weight(sub)) <= 1:
-            return _validated(sub, kind.is_member, f"{descr}; spanning star used directly", 0)
-    member, reps = interpolate_traced(kind, stars[0], stars[1])
-    return _validated(member, kind.is_member, f"{descr}; interpolated", reps)
+    report = _settle(
+        kind,
+        [weight(s) for s in stars],
+        stars.__getitem__,
+        kind.is_member,
+        f"{descr}; spanning star used directly",
+        f"{descr}; interpolated",
+    )
+    assert report is not None, "seed stars of a met hypothesis straddle zero"
+    return report
 
 
 # --- short zero-sum paths between two vertices --------------------------------

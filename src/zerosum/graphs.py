@@ -159,6 +159,8 @@ class ColoredGraph:
             return True
         if len(self.edges) < self.n - 1:
             return False
+        if self.is_complete:
+            return True
         uf = UnionFind(self.n)
         merges = 0
         for u, v in self.edges:

@@ -33,6 +33,18 @@ from .graphs import ColoredGraph, EdgeSubgraph, binomial, canonical_edge, comple
 from .thresholds import GUARANTEES, decomposition_bound
 
 
+def _require_budget(kind, budget: EnumerationBudget) -> None:
+    """Refuse (BudgetExceeded, stating the required budget) when the
+    closed-form member count of kind exceeds its budget field."""
+    count = kind.count()
+    limit = getattr(budget, kind.budget_field)
+    if count > limit:
+        raise BudgetExceeded(
+            f"{count:,} members to enumerate; requires {kind.budget_field} >= {count:,} "
+            f"(budget is {limit:,})"
+        )
+
+
 def enumerate_family(
     g: ColoredGraph,
     kind: Union[FamilyKind, PerfectMatchings],
@@ -43,16 +55,9 @@ def enumerate_family(
     Refuses upfront (BudgetExceeded, stating the required budget) when
     the closed-form member count exceeds the kind's budget field.
     """
-    budget = budget or DEFAULT_BUDGET
     if not (kind.host is g or kind.host == g):
         raise DomainError("enumeration kind is bound to a different host")
-    count = kind.count()
-    limit = getattr(budget, kind.budget_field)
-    if count > limit:
-        raise BudgetExceeded(
-            f"{count:,} members to enumerate; requires {kind.budget_field} >= {count:,} "
-            f"(budget is {limit:,})"
-        )
+    _require_budget(kind, budget or DEFAULT_BUDGET)
 
     def generate():
         for edge_set in kind.edge_sets():
@@ -111,8 +116,7 @@ def _mask_of(edge_set, eidx) -> int:
     return mask
 
 
-def _family_masks(theorem: str, n: int, eidx) -> list[int]:
-    family = _FAMILY_THEOREMS[theorem][0](ColoredGraph.complete(n))
+def _family_masks(family, eidx) -> list[int]:
     return [_mask_of(s, eidx) for s in family.edge_sets()]
 
 
@@ -130,12 +134,12 @@ def _census_met(theorem: str, n: int) -> list[bool]:
     return [guarantee.holds(min(e, m - e), bound) for e in range(m + 1)]
 
 
-def _theorem_table(theorem: str, n: int) -> tuple:
+def _theorem_table(theorem: str, n: int, budget: EnumerationBudget) -> tuple:
     """What a theorem's scan looks up for every colouring: the met list of
     _census_met, and the masks of all family members or, for connected,
     each vertex pair x, y with the mask of the other vertices and the masks
     of the x..y paths of length 4.  Built once per exhaustive_theorem_check
-    call."""
+    call; a family table larger than its budget field is refused."""
     met = _census_met(theorem, n)
     eidx = {e: i for i, e in enumerate(complete_edges(n))}
     if theorem == "connected":
@@ -145,7 +149,9 @@ def _theorem_table(theorem: str, n: int) -> tuple:
             for x in range(n)
             for y in range(x + 1, n)
         ]
-    return met, _family_masks(theorem, n, eidx)
+    family = _FAMILY_THEOREMS[theorem][0](ColoredGraph.complete(n))
+    _require_budget(family, budget)
+    return met, _family_masks(family, eidx)
 
 
 def _check_range(theorem: str, n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
@@ -296,7 +302,7 @@ def exhaustive_theorem_check(
             f"{hi - lo:,} colourings to check; requires max_colorings >= {hi - lo:,} "
             f"(budget is {budget.max_colorings:,})"
         )
-    table = _theorem_table(theorem, n)
+    table = _theorem_table(theorem, n, budget)
     jobs = max(1, jobs)
     if jobs == 1 or hi - lo < 8192:
         report = _check_range(theorem, n, lo, hi, table)

@@ -204,6 +204,15 @@ def test_verify_budget_refusal(capsys):
     assert code == 3 and "refused" in err
 
 
+def test_verify_refuses_a_family_table_over_budget(capsys):
+    code, out, err = run_cli(capsys, ["verify", "tree", "9", "--shard", "0", "1"])
+    assert code == 3 and out == ""
+    assert err.startswith("refused:") and "max_spanning_trees" in err
+    # 8^6 = 262,144 spanning trees of K_8 fit the default budget exactly
+    code, out, _ = run_cli(capsys, ["verify", "tree", "8", "--shard", "0", "1"])
+    assert code == 0 and "0 counterexamples" in out
+
+
 def test_verify_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("ZEROSUM_BUDGET", "100")
     code, _, err = run_cli(capsys, ["verify", "tree", "5"])

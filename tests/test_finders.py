@@ -10,11 +10,14 @@ from zerosum.extremal import (
     ConnectivityMatching,
     ConnectivitySmall,
     DTreeSharpness,
+    PathSharpness,
     PlanarSharpness,
+    _find_linear_forest,
     make_extremal_graph,
 )
 from zerosum.families import Diam3Trees, HamiltonianPaths, SpanningTrees
 from zerosum.finders import (
+    _linear_forest,
     check_zero_sum_matching,
     extract_monochromatic_forest,
     find_zero_sum_diam3_tree,
@@ -28,18 +31,20 @@ from zerosum.graphs import (
     EdgeSubgraph,
     MAXIMAL_PLANAR_STACKED,
     TRIANGLE_FREE,
+    binomial,
     canonical_edge,
     census,
     complete_edges,
     is_forest,
     is_hamiltonian_path,
+    is_linear_forest,
     is_matching,
     is_spanning_tree,
     tree_diameter,
     weight,
 )
 from zerosum.oracle import EnumerationBudget, enumerate_family
-from zerosum.thresholds import ex_forest
+from zerosum.thresholds import ex_forest, spanning_path_threshold
 
 
 # --- forest extraction ---
@@ -198,6 +203,50 @@ def test_path_finder_census_route_k7_with_oracle_cross_check():
         assert report.subgraph.edges in members
         found_census_route = True
     assert found_census_route
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_linear_forest_constructor_matches_exhaustive_search(n):
+    # on every colouring of K_n, n <= 6, the greedy finds a half-sized
+    # linear forest in a colour class exactly when the exhaustive search
+    # does, and always once the class is above the census threshold
+    k = (n - 1) // 2
+    bound = spanning_path_threshold(n) if n >= 3 else 0
+    for mask in range(1 << binomial(n, 2)):
+        g = complete_from_mask(n, mask)
+        for sign in (-1, 1):
+            forest = _linear_forest(g, sign, k)
+            assert (forest is not None) == (_find_linear_forest(g, sign, k) is not None), mask
+            if forest is not None:
+                assert len(forest) == k and all(g.sign[e] == sign for e in forest)
+                assert is_linear_forest(EdgeSubgraph._unchecked(g, forest))
+        if census(g).minimum > bound:
+            assert _linear_forest(g, -1, k) is not None and _linear_forest(g, 1, k) is not None
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16, 20, 25, 30, 40])
+def test_path_finder_census_gap_corpus(n):
+    # just past the sharpness witness: PathSharpness(n) plus 1-3 extra -1
+    # edges, relabelled; where every decomposition part is one-signed the
+    # census route must find the path
+    rng = random.Random(1000 + n)
+    base = make_extremal_graph(PathSharpness(n))
+    minus = [e for e in base.edges if base.sign[e] == -1]
+    plus = [e for e in base.edges if base.sign[e] == 1]
+    census_route = 0
+    for _ in range(50):
+        extra = rng.sample(plus, rng.randint(1, 3))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = ColoredGraph.complete_with_minus(
+            n, [canonical_edge(perm[u], perm[v]) for u, v in minus + extra]
+        )
+        assert census(g).minimum > spanning_path_threshold(n)
+        report = find_zero_sum_spanning_path(g)
+        assert report.found, report.certificate
+        assert is_hamiltonian_path(report.subgraph) and abs(report.weight) <= 1
+        census_route += report.certificate.startswith("census-route")
+    assert census_route > 0
 
 
 def test_path_finder_not_found_reports_routes():
@@ -406,6 +455,12 @@ def _k6_colourings():
     return (complete_from_mask(6, mask) for mask in range(1 << 15))
 
 
+def _k7_sampled_colourings():
+    # every 37th mask: the census route never fires on these, so the run
+    # pins the odd-n cycle-decomposition route alone
+    return (complete_from_mask(7, mask) for mask in range(0, 1 << 21, 37))
+
+
 def _planar7_tree_reports():
     from zerosum.extremal import _stacked_planar_host
 
@@ -425,17 +480,23 @@ FINDER_RUNS = {
     "k6-tree": lambda: map(find_zero_sum_spanning_tree, _k6_colourings()),
     "k6-diam3": lambda: map(find_zero_sum_diam3_tree, _k6_colourings()),
     "k6-path": lambda: map(find_zero_sum_spanning_path, _k6_colourings()),
+    "k7-path": lambda: map(find_zero_sum_spanning_path, _k7_sampled_colourings()),
     "planar7-tree": _planar7_tree_reports,
     "dtree8-tree": _dtree8_tree_reports,
 }
 
 # SHA-256 over (sorted edges, weight, certificate, chain_replacements) of
 # every report of each run, recorded from the finders as they were before
-# they read their census bounds from the guarantee table
+# they read their census bounds from the guarantee table; k7-path was
+# recorded before the odd-n route shared its settle step with the other
+# finders, and k6-path again when the greedy linear-forest constructor
+# replaced the exhaustive search on the census route (108 of its 400
+# census-route reports changed, all still valid)
 FINDER_DIGESTS = {
     "k6-tree": "0e5efef7affb0a15cff76703444e7383dee2499b7a2336236c48dbbc2895b3dc",
     "k6-diam3": "badd5c5c47c185d4c37b9498f44dd9e78bdfd3afc7f37faac24bbe72200df779",
-    "k6-path": "eb97c2955376ad3eea8c9d7c54492200f9ef9194756efd829e6e01c0d0cd4db3",
+    "k6-path": "9f9fd2d1f2b0863f32e86a6222ed22f689aa23cdb62693a58662c44416f92df9",
+    "k7-path": "c06bd3e88be38acdca1e4f29d8fb9c9529f42279bd0690cbb24a9046ce87fe25",
     "planar7-tree": "3e3c5becebd93ed68c240c84c7bbb1655b79b426205f14987f538eaf213f1505",
     "dtree8-tree": "843107463cde15f4bf266b38bb127fec88ad57c426d9fcdcd40686699cd819c4",
 }

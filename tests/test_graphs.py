@@ -287,3 +287,15 @@ def test_is_connected_of_a_huge_edgeless_header_allocates_nothing():
         tracemalloc.stop()
     assert not connected
     assert peak < 1 << 20
+
+
+def test_is_connected_of_a_complete_host_runs_no_union_find(monkeypatch):
+    from zerosum import graphs
+
+    def refuse(n):
+        raise AssertionError("union-find built for a complete host")
+
+    monkeypatch.setattr(graphs, "UnionFind", refuse)
+    assert ColoredGraph.complete(7).is_connected()
+    assert complete_from_mask(7, 0b1011).is_connected()
+

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import time
 
 import pytest
 
@@ -108,6 +109,17 @@ def test_exhaustive_check_validates_input():
     with pytest.raises(BudgetExceeded) as err:
         exhaustive_theorem_check("tree", 7)  # 2^21 over the default budget
     assert "max_colorings" in str(err.value)
+
+
+def test_exhaustive_check_refuses_a_family_table_over_budget():
+    # K_9 has 9^7 spanning trees, over max_spanning_trees = 8^6; the scan
+    # refuses before building its table, even for a one-colouring shard
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as err:
+        exhaustive_theorem_check("tree", 9, shard=(0, 1))
+    assert time.perf_counter() - start < 1.0
+    assert "max_spanning_trees" in str(err.value)
+    assert f"{9**7:,}" in str(err.value)
 
 
 def test_exhaustive_tree_n5():
