@@ -1,10 +1,11 @@
 """Constructive finders for zero-sum and almost zero-sum subgraphs.
 
-Each finder checks the census hypothesis of the matching guarantee,
-extracts monochromatic seed subgraphs, completes them to family members
-whose weights straddle zero, and hands the pair to the interpolation
-walk.  Every successful report is re-validated against the host signs
-before it is returned.
+Each finder checks the census hypothesis of the matching guarantee.  The
+spanning-tree and spanning-path finders then extract monochromatic seed
+subgraphs, complete them to family members whose weights straddle zero,
+and hand the pair to the interpolation walk; the diameter-3 finder picks
+a light double star by arithmetic.  Every successful report is
+re-validated against the host signs before it is returned.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .decompositions import hamilton_cycle_decomposition, hamilton_path_decompos
 from .errors import BudgetExceeded, DomainError
 from .families import (
     DEFAULT_BUDGET,
-    Diam3Trees,
     EnumerationBudget,
     HamiltonianPaths,
     SpanningTrees,
@@ -30,6 +30,7 @@ from .graphs import (
     canonical_edge,
     census,
     host_class_check,
+    is_diam3_tree,
     is_hamiltonian_path,
     is_matching,
     is_spanning_tree,
@@ -292,42 +293,88 @@ def find_zero_sum_spanning_path(g: ColoredGraph) -> FindReport:
 # --- diameter-3 trees ---------------------------------------------------------
 
 
+def _double_star(g: ColoredGraph) -> Optional[tuple[int, int, frozenset]]:
+    """The first double star of a complete host with |weight| <= 1, as
+    (u, v, edges), or None when no spanning tree of diameter <= 3 is that
+    light.
+
+    A tree of diameter <= 3 is a double star on some edge uv, every other
+    vertex w hanging on u or on v.  With P of the w seeing u and v both +1,
+    M both -1 and the F others free to pick either sign, the reachable
+    weights are base +- F in steps of 2, base = f(uv) + P - M; so one of
+    |w| <= 1 exists iff |base| <= F + 1.  Pairs are scanned u < v in
+    lexicographic order; fixed vertices hang on u, and the first s free
+    ones (ascending) take their +1 edge, the rest their -1 edge.
+    """
+    n = g.n
+    minus = g.minus_masks()
+    full = (1 << n) - 1
+    for u in range(n):
+        mu = minus[u]
+        for v in range(u + 1, n):
+            mv = minus[v]
+            others = full ^ (1 << u) ^ (1 << v)
+            free = (mu ^ mv) & others
+            n_free = free.bit_count()
+            n_minus = (mu & mv).bit_count()
+            # f(uv) + P - M with P = n-2 - F - M
+            base = (-1 if (mu >> v) & 1 else 1) + n - 2 - n_free - 2 * n_minus
+            if abs(base) > n_free + 1:
+                continue
+            s = min(max((n_free - base) // 2, 0), n_free)
+            tree = [(u, v)]
+            taken = 0
+            for w in range(n):
+                if w == u or w == v:
+                    continue
+                a = u
+                if (free >> w) & 1:
+                    # the first s free vertices take their +1 edge, the rest
+                    # their -1 edge; it is vw when uw has the other sign
+                    if ((mu >> w) & 1) == (taken < s):
+                        a = v
+                    taken += 1
+                tree.append((a, w) if a < w else (w, a))
+            return u, v, frozenset(tree)
+    return None
+
+
 def find_zero_sum_diam3_tree(g: ColoredGraph) -> FindReport:
-    """Spanning tree of diameter <= 3 with |weight| <= 1 of a complete host."""
+    """Spanning tree of diameter <= 3 with |weight| <= 1 of a complete host.
+
+    A spanning star of weight |w| <= 1 centred on the vertex of most -1,
+    then most +1, edges is used directly; otherwise the first double star
+    of that weight (see _double_star) is.
+    """
     if not g.is_complete:
         raise DomainError("host must be complete")
     n = g.n
     guarantee = GUARANTEES["diam3", "complete"]
     if n < guarantee.min_n(0):
         raise DomainError(f"need at least {guarantee.min_n(0)} vertices")
-    k = guarantee.k(n)
     holds, descr = guarantee.condition(n, census(g).minimum)
     if not holds:
         return FindReport(False, None, 0, f"hypothesis not met: {descr}", 0)
-    # a colour class larger than the star threshold has a vertex carrying
-    # at least k incident edges of that colour; in K_n a vertex has n-1
-    # edges, so its +1 degree is what its -1 degree leaves
+    # the -1 star centres on the first vertex of most -1 edges, the +1
+    # star on the first of fewest; in K_n the star at a vertex of -1
+    # degree d weighs n-1 - 2d
     deg_minus = [m.bit_count() for m in g.minus_masks()]
-    stars = []
-    for deg in (deg_minus, [n - 1 - d for d in deg_minus]):
-        centre = max(range(n), key=lambda v: (deg[v], -v))
-        assert deg[centre] >= k
-        stars.append(
-            EdgeSubgraph._unchecked(
-                g, frozenset(canonical_edge(centre, x) for x in range(n) if x != centre)
+    for d in (max(deg_minus), min(deg_minus)):
+        if abs(n - 1 - 2 * d) <= 1:
+            centre = deg_minus.index(d)
+            star = frozenset(canonical_edge(centre, x) for x in range(n) if x != centre)
+            return _validated(
+                EdgeSubgraph._unchecked(g, star),
+                is_diam3_tree,
+                f"{descr}; spanning star used directly",
+                0,
             )
-        )
-    kind = Diam3Trees(g)
-    report = _settle(
-        kind,
-        [weight(s) for s in stars],
-        stars.__getitem__,
-        kind.is_member,
-        f"{descr}; spanning star used directly",
-        f"{descr}; interpolated",
+    found = _double_star(g)
+    assert found is not None, "a met hypothesis leaves a double star of |weight| <= 1"
+    u, v, edges = found
+    return _validated(
+        EdgeSubgraph._unchecked(g, edges), is_diam3_tree, f"{descr}; double star on {u}-{v}", 0
     )
-    assert report is not None, "seed stars of a met hypothesis straddle zero"
-    return report
 
 
 # --- short zero-sum paths between two vertices --------------------------------

@@ -14,6 +14,7 @@ their reports merge associatively.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Iterator, Optional, Union
@@ -284,14 +285,16 @@ def exhaustive_theorem_check(
 ) -> TheoremReport:
     """Iterate colouring bitmasks of K_n (a shard or the whole space),
     checking the named guarantee on every colouring meeting its
-    hypothesis.  jobs > 1 splits the range across worker processes;
-    shards merge associatively.  emit, when given, receives progress
-    dictionaries as chunks complete.
+    hypothesis.  jobs > 1 splits the range across worker processes, at
+    most one per CPU; shards merge associatively.  emit, when given,
+    receives progress dictionaries as chunks complete.
     """
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
     if n < 2:
         raise DomainError("need n >= 2")
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     budget = budget or DEFAULT_BUDGET
     space = 1 << binomial(n, 2)
     lo, hi = shard if shard is not None else (0, space)
@@ -303,7 +306,7 @@ def exhaustive_theorem_check(
             f"(budget is {budget.max_colorings:,})"
         )
     table = _theorem_table(theorem, n, budget)
-    jobs = max(1, jobs)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1 or hi - lo < 8192:
         report = _check_range(theorem, n, lo, hi, table)
         if emit is not None:

@@ -343,3 +343,25 @@ def test_linear_forest_constructor_on_every_7_vertex_colour_class():
         checked += 1
     assert checked == sum(binomial(21, e) for e in range(7, 15))
 
+
+
+# --- diameter-3 double-star rule ---------------------------------------------------
+
+
+def test_double_star_rule_matches_oracle_scan_on_every_k7_colouring():
+    # with no hypothesis, the double-star rule finds a diameter-3 tree of
+    # |w| <= 1 on K_7 exactly when the oracle's family-mask scan finds a
+    # member with 3 -1 edges
+    from zerosum.families import DEFAULT_BUDGET
+    from zerosum.finders import _double_star
+    from zerosum.oracle import _theorem_table
+
+    n = 7
+    _, masks = _theorem_table("diam3", n, DEFAULT_BUDGET)
+    light = ((n - 1) // 2, n // 2)
+    found = 0
+    for mask in range(1 << binomial(n, 2)):
+        exists = any((m & mask).bit_count() in light for m in masks)
+        assert (_double_star(complete_from_mask(n, mask)) is not None) == exists, mask
+        found += exists
+    assert 0 < found < 1 << 21

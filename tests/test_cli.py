@@ -226,6 +226,12 @@ def test_verify_shard(capsys):
     assert summary["range"] == [0, 4096]
 
 
+def test_verify_jobs_below_one_is_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["verify", "tree", "5", "--jobs", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: jobs must be at least 1, got 0\n"
+
+
 def test_verify_budget_flag_allows_shard_of_n7(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -286,6 +292,26 @@ def test_find_diam3_json(tmp_path, capsys):
         "weight": 0,
         "certificate": "min{e(-1),e(1)}=10 needs > 7 = floor(n/2*floor((n-3)/2)); "
         "spanning star used directly",
+        "chain_replacements": 0,
+    }
+
+
+def test_find_diam3_json_double_star_route(tmp_path, capsys):
+    # no spanning star weighs |w| <= 1 (the -1 star at 0 weighs -2, the +1
+    # star at 6 weighs 6) and pair 0-1 is fixed at base -2, so the first
+    # light double star is on 0-2, with free vertices 3, 4 and 5
+    minus = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5)]
+    path = tmp_path / "k7.edges"
+    path.write_text(write_edge_list(ColoredGraph.complete_with_minus(7, minus)))
+    code, out, _ = run_cli(capsys, ["find", "diam3", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out) == {
+        "found": True,
+        "kind": "diameter-3-tree",
+        "edges": [[0, 1], [0, 2], [0, 6], [2, 3], [2, 4], [2, 5]],
+        "weight": 0,
+        "certificate": "min{e(-1),e(1)}=8 needs > 7 = floor(n/2*floor((n-3)/2)); "
+        "double star on 0-2",
         "chain_replacements": 0,
     }
 

@@ -12,11 +12,13 @@ from zerosum.extremal import (
     DTreeSharpness,
     PathSharpness,
     PlanarSharpness,
+    StarExtremalCirculant,
     _find_linear_forest,
     make_extremal_graph,
 )
-from zerosum.families import Diam3Trees, HamiltonianPaths, SpanningTrees
+from zerosum.families import DEFAULT_BUDGET, Diam3Trees, HamiltonianPaths, SpanningTrees
 from zerosum.finders import (
+    _double_star,
     _linear_forest,
     check_zero_sum_matching,
     extract_monochromatic_forest,
@@ -43,7 +45,7 @@ from zerosum.graphs import (
     tree_diameter,
     weight,
 )
-from zerosum.oracle import EnumerationBudget, enumerate_family
+from zerosum.oracle import EnumerationBudget, _theorem_table, enumerate_family
 from zerosum.thresholds import ex_forest, spanning_path_threshold
 
 
@@ -308,7 +310,68 @@ def test_diam3_finder_k7():
     report = find_zero_sum_diam3_tree(g)
     assert report.found and report.weight == 0
     assert tree_diameter(report.subgraph) <= 3
-    assert report.chain_replacements <= 2 * 5
+    assert report.chain_replacements == 0
+    assert report.certificate.endswith("; double star on 0-1")
+
+
+@pytest.mark.parametrize("n", range(4, 7))
+def test_double_star_matches_oracle_scan_on_every_colouring(n):
+    # with no hypothesis, the double-star rule finds a diameter-3 tree of
+    # |w| <= 1 exactly when the oracle's family-mask scan finds a member
+    # with (n-1)//2 or n//2 -1 edges; the public finder still answers
+    # found exactly when the census hypothesis is met
+    met, masks = _theorem_table("diam3", n, DEFAULT_BUDGET)
+    light = ((n - 1) // 2, n // 2)
+    for mask in range(1 << binomial(n, 2)):
+        g = complete_from_mask(n, mask)
+        exists = any((m & mask).bit_count() in light for m in masks)
+        star = _double_star(g)
+        assert (star is not None) == exists, mask
+        if star is not None:
+            u, v, edges = star
+            h = EdgeSubgraph._unchecked(g, edges)
+            assert (u, v) in edges and tree_diameter(h) <= 3 and abs(weight(h)) <= 1, mask
+        assert find_zero_sum_diam3_tree(g).found == met[mask.bit_count()], mask
+
+
+def _checked_diam3_report(g):
+    """The diam3 finder's report on g, checked with the graph predicates
+    rather than the finder's own validator."""
+    report = find_zero_sum_diam3_tree(g)
+    assert report.found, report.certificate
+    h = report.subgraph
+    assert is_spanning_tree(h) and tree_diameter(h) <= 3
+    assert weight(h) == report.weight and abs(report.weight) <= 1
+    return report
+
+
+@pytest.mark.parametrize("n", [40, 55, 70, 85, 100])
+def test_diam3_finder_at_large_n(n):
+    rng = random.Random(3000 + n)
+    edges = complete_edges(n)
+    # the star-free circulant sits exactly at the threshold; 1-3 extra -1
+    # edges, relabelled, put it just past
+    star_free = list(make_extremal_graph(StarExtremalCirculant(n, (n - 1) // 2)).edges)
+    plus = sorted(set(edges) - set(star_free))
+    for _ in range(5):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        minus = star_free + rng.sample(plus, rng.randint(1, 3))
+        _checked_diam3_report(
+            ColoredGraph.complete_with_minus(n, [(perm[u], perm[v]) for u, v in minus])
+        )
+    # balanced random colourings
+    for _ in range(5):
+        _checked_diam3_report(
+            ColoredGraph.complete_with_minus(n, rng.sample(edges, len(edges) // 2))
+        )
+    # every edge at 0 or 1 is +1, so pair 0-1 has no free vertex and its
+    # base weight is n-1; half the edges of K_n, drawn from the rest, are -1
+    rest = [e for e in edges if e[0] > 1]
+    g = ColoredGraph.complete_with_minus(n, rng.sample(rest, len(edges) // 2))
+    report = _checked_diam3_report(g)
+    assert "; double star on " in report.certificate
+    assert not report.certificate.endswith(" on 0-1")
 
 
 def test_diam3_finder_k9_with_oracle():
@@ -491,10 +554,13 @@ FINDER_RUNS = {
 # recorded before the odd-n route shared its settle step with the other
 # finders, and k6-path again when the greedy linear-forest constructor
 # replaced the exhaustive search on the census route (108 of its 400
-# census-route reports changed, all still valid)
+# census-route reports changed, all still valid); k6-diam3 again when the
+# double-star rule replaced the walk between two spanning stars (the
+# 10,392 formerly walked reports of its 31,616 found ones changed, 384 of
+# them to a pair other than 0-1; the found flags did not)
 FINDER_DIGESTS = {
     "k6-tree": "0e5efef7affb0a15cff76703444e7383dee2499b7a2336236c48dbbc2895b3dc",
-    "k6-diam3": "badd5c5c47c185d4c37b9498f44dd9e78bdfd3afc7f37faac24bbe72200df779",
+    "k6-diam3": "37ad02c9e8a4e7b393addd0b379992cf3323bd19f9a05c1552f7aec45194ff62",
     "k6-path": "9f9fd2d1f2b0863f32e86a6222ed22f689aa23cdb62693a58662c44416f92df9",
     "k7-path": "c06bd3e88be38acdca1e4f29d8fb9c9529f42279bd0690cbb24a9046ce87fe25",
     "planar7-tree": "3e3c5becebd93ed68c240c84c7bbb1655b79b426205f14987f538eaf213f1505",

@@ -147,6 +147,47 @@ def test_jobs_match_single_process():
     )
 
 
+def test_jobs_below_one_are_refused():
+    for jobs in (0, -3):
+        with pytest.raises(DomainError, match="jobs must be at least 1"):
+            exhaustive_theorem_check("tree", 5, jobs=jobs)
+
+
+class _RecordingContext:
+    """Stands in for the fork context: records each pool size asked for and
+    runs the chunks in this process, so no worker is ever started."""
+
+    def __init__(self):
+        self.processes = []
+
+    def Pool(self, processes, initializer, initargs):
+        self.processes.append(processes)
+        initializer(*initargs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, func, items):
+        return map(func, items)
+
+
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
+    ctx = _RecordingContext()
+    monkeypatch.setattr(oracle, "get_context", lambda method: ctx)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(oracle, "_worker_table", None)
+    shard = (0, 8192)
+    single = exhaustive_theorem_check("tree", 6, shard=shard)
+    for jobs in (2, 3, 10_000):
+        multi = exhaustive_theorem_check("tree", 6, jobs=jobs, shard=shard)
+        assert (multi.hypothesis_met, multi.confirmed) == (single.hypothesis_met, single.confirmed)
+    assert ctx.processes == [2, 3, 3]
+
+
 def test_family_table_is_built_once_in_the_parent(monkeypatch):
     parent = os.getpid()
     calls = []
