@@ -77,7 +77,9 @@ def _budget_from_env() -> EnumerationBudget:
     try:
         cap = int(raw)
     except ValueError:
-        raise DomainError(f"ZEROSUM_BUDGET must be an integer, got {raw!r}") from None
+        cap = 0
+    if cap < 1:
+        raise DomainError(f"ZEROSUM_BUDGET must be a positive integer, got {raw!r}")
     return EnumerationBudget(cap, cap, cap, cap)
 
 
@@ -203,8 +205,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    budget = _budget_from_env()
-    if args.budget is not None:
+    if args.budget is None:
+        budget = _budget_from_env()
+    elif args.budget < 1:
+        raise DomainError(f"--budget must be positive, got {args.budget}")
+    else:
         budget = EnumerationBudget(args.budget, args.budget, args.budget, args.budget)
     shard = tuple(args.shard) if args.shard else None
 

@@ -384,9 +384,14 @@ def _path_report(g, vertices, certificate) -> FindReport:
     """Report the path through vertices after checking from the host's -1
     masks that half of its edges are -1, so its weight is 0."""
     minus = g.minus_masks()
-    steps = list(zip(vertices, vertices[1:]))
-    edges = frozenset(canonical_edge(a, b) for a, b in steps)
-    n_minus = sum((minus[a] >> b) & 1 for a, b in steps)
+    steps = []
+    n_minus = 0
+    a = vertices[0]
+    for b in vertices[1:]:
+        steps.append((a, b) if a < b else (b, a))
+        n_minus += (minus[a] >> b) & 1
+        a = b
+    edges = frozenset(steps)
     assert 2 * n_minus == len(edges) == len(vertices) - 1
     return FindReport(True, EdgeSubgraph._unchecked(g, edges), 0, certificate, 0)
 
@@ -404,28 +409,22 @@ def _bits(mask: int):
         mask ^= low
 
 
-def find_zero_sum_path_leq4(g: ColoredGraph, x: int, y: int) -> FindReport:
-    """Zero-sum path of length 2 or 4 between x and y in a complete host.
+def _short_zero_sum_path(minus, n: int, x: int, y: int) -> Optional[tuple[str, list]]:
+    """The search behind find_zero_sum_path_leq4, read from the per-vertex
+    -1 masks of a complete host on n vertices alone: (label, vertices) of
+    the first zero-sum x..y path of length 2 or 4 it meets, or None when
+    no such path exists.
 
     Follows the anchored case analysis; when that yields nothing (possible
     only below the census threshold) an exhaustive sweep over all short
-    paths decides the answer, so found=False is reliable.  Candidates are
-    tried in ascending vertex order throughout, read from the host's kept
-    -1 adjacency masks.
+    paths decides the answer, so None is reliable.  Candidates are tried
+    in ascending vertex order throughout.
     """
-    if not g.is_complete:
-        raise DomainError("host must be complete")
-    n = g.n
-    if not (0 <= x < n and 0 <= y < n) or x == y:
-        raise DomainError(f"invalid vertex pair ({x},{y})")
-    met, text = GUARANTEES["connected", "complete"].condition(n, census(g).minimum)
-    hyp = f"{text}: " + ("met" if met else "not met")
-    minus = g.minus_masks()
     full = (1 << n) - 1
     others = full ^ (1 << x) ^ (1 << y)
     split = (minus[x] ^ minus[y]) & others
     if split:
-        return _path_report(g, [x, _low(split), y], f"length-2 path; {hyp}")
+        return "length-2", [x, _low(split), y]
 
     # every outside vertex sees x and y with one colour; flip so the
     # +1-anchored side is the larger one (flipping preserves zero sums).
@@ -444,39 +443,39 @@ def find_zero_sum_path_leq4(g: ColoredGraph, x: int, y: int) -> FindReport:
             mn = neg[v] & a_mask
             if mn.bit_count() >= 2:
                 second = _low(mn & (mn - 1))
-                return _path_report(g, [x, _low(mn), v, second, y], f"case-1 path; {hyp}")
+                return "case-1", [x, _low(mn), v, second, y]
     elif len(B) == 1:
         z = B[0]
         zm = neg[z] & a_mask
         if zm.bit_count() >= 2:
             second = _low(zm & (zm - 1))
-            return _path_report(g, [x, _low(zm), z, second, y], f"case-2a path; {hyp}")
+            return "case-2a", [x, _low(zm), z, second, y]
         if zm:
             u = _low(zm)
             plus_u = a_mask & ~neg[u] & ~(1 << u)
             if plus_u:
-                return _path_report(g, [x, _low(plus_u), u, z, y], f"case-2b path; {hyp}")
+                return "case-2b", [x, _low(plus_u), u, z, y]
             rest = a_mask ^ (1 << u)
             if rest.bit_count() >= 2:
                 second = _low(rest & (rest - 1))
-                return _path_report(g, [x, _low(rest), u, second, y], f"case-2b path; {hyp}")
+                return "case-2b", [x, _low(rest), u, second, y]
         else:
             for u in A:
                 later = neg[u] & a_mask & ~((2 << u) - 1)
                 if later:
-                    return _path_report(g, [x, u, _low(later), z, y], f"case-2c path; {hyp}")
+                    return "case-2c", [x, u, _low(later), z, y]
     else:
         u, v = A[0], A[1]
         z, w = B[0], B[1]
         if not (neg[u] >> z) & 1 and not (neg[u] >> w) & 1:
-            return _path_report(g, [x, z, u, w, y], f"case-3 path; {hyp}")
+            return "case-3", [x, z, u, w, y]
         if not (neg[u] >> z) & 1:
             z, w = w, z
         if not (neg[v] >> u) & 1:
-            return _path_report(g, [x, v, u, z, y], f"case-3 path; {hyp}")
+            return "case-3", [x, v, u, z, y]
         if (neg[v] >> z) & 1:
-            return _path_report(g, [x, v, z, u, y], f"case-3 path; {hyp}")
-        return _path_report(g, [x, z, v, u, y], f"case-3 path; {hyp}")
+            return "case-3", [x, v, z, u, y]
+        return "case-3", [x, z, v, u, y]
 
     # complete sweep so a negative answer is trustworthy: for each (a, b),
     # the first c whose edges b-c and c-y bring the -1 count of x-a-b-c-y to 2
@@ -494,8 +493,29 @@ def find_zero_sum_path_leq4(g: ColoredGraph, x: int, y: int) -> FindReport:
                 ends = ~(mb | my)
             ends &= others & ~((1 << a) | (1 << b))
             if ends:
-                return _path_report(g, [x, a, b, _low(ends), y], f"sweep path; {hyp}")
-    return FindReport(False, None, 0, f"no zero-sum path of length <= 4; {hyp}", 0)
+                return "sweep", [x, a, b, _low(ends), y]
+    return None
+
+
+def find_zero_sum_path_leq4(g: ColoredGraph, x: int, y: int) -> FindReport:
+    """Zero-sum path of length 2 or 4 between x and y in a complete host.
+
+    The search (see _short_zero_sum_path) reads the host's kept -1
+    adjacency masks; found=False is reliable.  The certificate names the
+    case that gave the path and whether the census hypothesis is met.
+    """
+    if not g.is_complete:
+        raise DomainError("host must be complete")
+    n = g.n
+    if not (0 <= x < n and 0 <= y < n) or x == y:
+        raise DomainError(f"invalid vertex pair ({x},{y})")
+    met, text = GUARANTEES["connected", "complete"].condition(n, census(g).minimum)
+    hyp = f"{text}: " + ("met" if met else "not met")
+    found = _short_zero_sum_path(g.minus_masks(), n, x, y)
+    if found is None:
+        return FindReport(False, None, 0, f"no zero-sum path of length <= 4; {hyp}", 0)
+    label, vertices = found
+    return _path_report(g, vertices, f"{label} path; {hyp}")
 
 
 # --- perfect matchings (experimental exhaustive probe) -------------------------

@@ -219,6 +219,21 @@ def test_verify_budget_env(capsys, monkeypatch):
     assert code == 3
 
 
+def test_verify_budget_below_one_is_exit_2(capsys, monkeypatch):
+    for value in ("0", "-5"):
+        code, out, err = run_cli(capsys, ["verify", "tree", "3", "--budget", value])
+        assert code == 2 and out == ""
+        assert err == f"error: --budget must be positive, got {value}\n"
+    for value in ("0", "-5", "ten"):
+        monkeypatch.setenv("ZEROSUM_BUDGET", value)
+        code, out, err = run_cli(capsys, ["verify", "tree", "3"])
+        assert code == 2 and out == ""
+        assert err == f"error: ZEROSUM_BUDGET must be a positive integer, got '{value}'\n"
+    # --budget overrides the environment without reading it
+    code, out, _ = run_cli(capsys, ["verify", "tree", "3", "--budget", "100"])
+    assert code == 0 and "0 counterexamples" in out
+
+
 def test_verify_shard(capsys):
     code, out, _ = run_cli(capsys, ["verify", "tree", "6", "--shard", "0", "4096", "--json"])
     assert code == 0

@@ -20,6 +20,7 @@ from zerosum.families import DEFAULT_BUDGET, Diam3Trees, HamiltonianPaths, Spann
 from zerosum.finders import (
     _double_star,
     _linear_forest,
+    _short_zero_sum_path,
     check_zero_sum_matching,
     extract_monochromatic_forest,
     find_zero_sum_diam3_tree,
@@ -448,6 +449,27 @@ def test_path_leq4_outputs_unchanged_on_every_k6_colouring():
                 edges = sorted(rep.subgraph.edges) if rep.subgraph is not None else []
                 digest.update(repr((x, y, edges, rep.weight, rep.certificate)).encode())
     assert digest.hexdigest() == PATH_LEQ4_K6_DIGEST
+
+
+def test_path_leq4_packages_the_mask_search_alone():
+    # the public finder adds domain checks and the certificate; its path is
+    # the one the search finds on the host's -1 masks alone
+    n = 7
+    for mask in range(0, 1 << 21, 401):
+        g = complete_from_mask(n, mask)
+        minus = g.minus_masks()
+        for x in range(n):
+            for y in range(x + 1, n):
+                rep = find_zero_sum_path_leq4(g, x, y)
+                found = _short_zero_sum_path(minus, n, x, y)
+                if found is None:
+                    assert not rep.found and rep.subgraph is None
+                    continue
+                label, path = found
+                assert rep.certificate.startswith(f"{label} path; ")
+                assert rep.subgraph.edges == {
+                    canonical_edge(a, b) for a, b in zip(path, path[1:])
+                }
 
 
 def test_path_leq4_input_validation():

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import complete_from_mask, random_complete
-from zerosum import oracle
+from zerosum import finders, oracle
 from zerosum.errors import BudgetExceeded, DomainError
 from zerosum.families import (
     Diam3Trees,
@@ -223,6 +223,56 @@ def test_connected_n5_finds_the_known_counterexample():
     assert not report.passed
     triangle_mask = 0b10011  # edges (0,1), (0,2), (1,2) in canonical order
     assert any(ce["mask"] == triangle_mask for ce in report.counterexamples)
+
+
+def test_connected_scan_builds_no_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("graph built from a mask in the connected scan")
+
+    monkeypatch.setattr(oracle, "_graph_from_mask", refuse)
+    report = exhaustive_theorem_check("connected", 6)
+    assert report.passed and report.hypothesis_met == report.confirmed > 0
+
+
+def _walks4(minus, n, x, y):
+    """Every x..y walk of 4 edges with no vertex next to itself, with its
+    number of -1 edges."""
+    for a, b, c in itertools.product(range(n), repeat=3):
+        walk = [x, a, b, c, y]
+        if all(u != v for u, v in zip(walk, walk[1:])):
+            yield walk, sum((minus[u] >> v) & 1 for u, v in zip(walk, walk[1:]))
+
+
+def _repeating_walk(minus, n, x, y):
+    return "fake", next(w for w, k in _walks4(minus, n, x, y) if k == 2 and len(set(w)) < 5)
+
+
+_search = finders._short_zero_sum_path
+
+
+def _wrong_endpoint(minus, n, x, y):
+    z = next(z for z in range(n) if z not in (x, y))
+    return _search(minus, n, x, z)
+
+
+def _one_minus_edge(minus, n, x, y):
+    return "fake", next(w for w, k in _walks4(minus, n, x, y) if k == 1 and len(set(w)) == 5)
+
+
+@pytest.mark.parametrize(
+    "fake",
+    [_repeating_walk, _wrong_endpoint, _one_minus_edge, lambda minus, n, x, y: None],
+    ids=["repeated-vertex", "wrong-endpoint", "one-minus-edge", "none"],
+)
+def test_connected_scan_checks_the_finder_path_itself(monkeypatch, fake):
+    # every met colouring of the shard must be refused by the oracle's own
+    # check of the path handed to it; each fake finds its kind of wrong
+    # path for pair 0-1, the first one scanned, in all of them
+    monkeypatch.setattr(finders, "_short_zero_sum_path", fake)
+    report = exhaustive_theorem_check("connected", 6, shard=(12345, 12345 + 64))
+    assert report.hypothesis_met > 0 and report.confirmed == 0
+    assert len(report.counterexamples) == report.hypothesis_met
+    assert all(ce["reason"].startswith("finder failed: ") for ce in report.counterexamples)
 
 
 def test_enumeration_streams_are_lazy_after_budget_check():
