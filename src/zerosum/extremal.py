@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from . import finders, oracle
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 from .families import HamiltonianPaths, PerfectMatchings, SpanningTrees, spanning_tree_count
 from .graphs import (
     ColoredGraph,
@@ -46,9 +46,16 @@ def _clique_edges(vertices) -> set:
     return {(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]}
 
 
-def _find_linear_forest(g: ColoredGraph, sign: int, k: int):
+def _find_linear_forest(
+    g: ColoredGraph, sign: int, k: int, budget: EnumerationBudget | None = None
+):
     """Exhaustive backtracking search for a k-edge monochromatic linear
-    forest; None when the colour class has none."""
+    forest; None when the colour class has none.
+
+    Refuses with BudgetExceeded once the search has visited more than the
+    budget's max_paths nodes (partial forests), rather than run on.
+    """
+    limit = (budget or oracle.DEFAULT_BUDGET).max_paths
     if k == 0:
         return frozenset()
     pool = [e for e in g.edges if g.sign[e] == sign]
@@ -57,6 +64,7 @@ def _find_linear_forest(g: ColoredGraph, sign: int, k: int):
     deg = [0] * g.n
     comp = list(range(g.n))  # union-find without compression, undoable
     chosen: list[tuple[int, int]] = []
+    nodes = 0
 
     def find(x):
         while comp[x] != x:
@@ -64,6 +72,13 @@ def _find_linear_forest(g: ColoredGraph, sign: int, k: int):
         return x
 
     def rec(start):
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceeded(
+                f"linear-forest search on {g.n} vertices passed {limit:,} search nodes; "
+                f"requires max_paths > {limit:,}"
+            )
         if len(chosen) == k:
             return True
         if len(pool) - start < k - len(chosen):
@@ -220,7 +235,7 @@ class TuranLinearForest:
             if self.which == "clique"
             else binomial(n, 2) - binomial(n - (k - 1) // 2, 2) + (k - 1) % 2
         )
-        return len(g.edges) == expected and _find_linear_forest(g, -1, k) is None
+        return len(g.edges) == expected and _find_linear_forest(g, -1, k, budget) is None
 
 
 @dataclass(frozen=True)
@@ -378,6 +393,7 @@ class _ConnectivityWitness:
     joined by a -1 edge, have no zero-sum path of length 2 or 4."""
 
     def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
+        oracle._require_path_masks(g.n, 1, budget)
         if finders.find_zero_sum_path_leq4(g, 0, 1).found:
             return False
         # independent scan over the same path space

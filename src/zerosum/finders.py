@@ -29,6 +29,7 @@ from .graphs import (
     UnionFind,
     canonical_edge,
     census,
+    greedy_forest,
     host_class_check,
     is_diam3_tree,
     is_hamiltonian_path,
@@ -61,32 +62,21 @@ def extract_monochromatic_forest(g: ColoredGraph, sign: int, k: int) -> EdgeSubg
         raise DomainError(f"sign must be -1 or 1, got {sign}")
     if k < 0:
         raise DomainError(f"forest size must be non-negative, got {k}")
-    uf = UnionFind(g.n)
-    chosen = []
-    if k:
-        for e in g.edges:
-            if g.sign[e] == sign and uf.union(*e):
-                chosen.append(e)
-                if len(chosen) == k:
-                    break
+    chosen = greedy_forest(UnionFind(g.n), (e for e in g.edges if g.sign[e] == sign), k)
     return EdgeSubgraph._unchecked(g, frozenset(chosen))
 
 
-def _complete_to_spanning_tree(g: ColoredGraph, base: frozenset) -> EdgeSubgraph:
-    """Extend an acyclic edge set to a spanning tree, adding host edges in
-    canonical order and skipping cycle creators; stops once n-1 edges are
-    in, as every later edge would close a cycle."""
+def _tree_seed(g: ColoredGraph, sign: int, k: int) -> Optional[EdgeSubgraph]:
+    """A spanning tree through the k-edge greedy forest of one colour class
+    (see extract_monochromatic_forest), completed with host edges in
+    canonical order on the same union-find; None when the class has no
+    k-edge forest."""
     uf = UnionFind(g.n)
-    edges = set(base)
-    for u, v in base:
-        uf.union(u, v)
-    size = g.n - 1
-    for e in g.edges:
-        if e not in edges and uf.union(*e):
-            edges.add(e)
-            if len(edges) == size:
-                break
-    return EdgeSubgraph._unchecked(g, frozenset(edges))
+    tree = greedy_forest(uf, (e for e in g.edges if g.sign[e] == sign), k)
+    if len(tree) < k:
+        return None
+    tree += greedy_forest(uf, g.edges, g.n - 1 - k)
+    return EdgeSubgraph._unchecked(g, frozenset(tree))
 
 
 def _validated(sub: EdgeSubgraph, predicate, certificate: str, replacements: int) -> FindReport:
@@ -134,16 +124,14 @@ def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindRep
     holds, descr = guarantee.condition(n, census(g).minimum, d)
     if not holds:
         return FindReport(False, None, 0, f"hypothesis not met: {descr}", 0)
-    f_minus = extract_monochromatic_forest(g, -1, k)
-    f_plus = extract_monochromatic_forest(g, 1, k)
-    if len(f_minus.edges) < k or len(f_plus.edges) < k:
+    trees = [_tree_seed(g, s, k) for s in (-1, 1)]
+    if None in trees:
         # cannot happen when the threshold arithmetic is right; reported
         # rather than asserted so a caller sees which side fell short
-        short = "-1" if len(f_minus.edges) < k else "+1"
+        short = "-1" if trees[0] is None else "+1"
         return FindReport(
             False, None, 0, f"forest extraction fell short on the {short} class ({descr})", 0
         )
-    trees = [_complete_to_spanning_tree(g, f.edges) for f in (f_minus, f_plus)]
     report = _settle(
         SpanningTrees(g),
         [weight(t) for t in trees],
@@ -190,33 +178,25 @@ def _linear_forest(g: ColoredGraph, sign: int, k: int) -> Optional[frozenset]:
 
 
 def _linear_forest_to_hampath(g: ColoredGraph, forest: frozenset) -> EdgeSubgraph:
-    """Complete a linear forest of a complete host to a Hamiltonian path by
-    chaining its path segments and the leftover vertices."""
+    """Complete a linear forest of a complete host to a Hamiltonian path:
+    pair each path's ends with _linear_forest's end[] rule, then join the
+    paths (a leftover vertex is one on its own) lowest end first, each
+    one's far end to the next one's lowest."""
     n = g.n
-    adj: list[list[int]] = [[] for _ in range(n)]
+    deg = [0] * n
+    end = list(range(n))
     for u, v in forest:
-        adj[u].append(v)
-        adj[v].append(u)
-    segments = []
-    seen = [False] * n
-    for v in range(n):
-        if seen[v] or len(adj[v]) > 1:
-            continue
-        seq = [v]
-        seen[v] = True
-        prev = -1
-        cur = v
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            seq.append(cur)
-            seen[cur] = True
-        segments.append(seq)
+        a, b = end[u], end[v]
+        end[a], end[b] = b, a
+        deg[u] += 1
+        deg[v] += 1
     edges = set(forest)
-    for a, b in zip(segments, segments[1:]):
-        edges.add(canonical_edge(a[-1], b[0]))
+    tail = -1
+    for v in range(n):
+        if deg[v] < 2 and v <= end[v]:
+            if tail >= 0:
+                edges.add(canonical_edge(tail, v))
+            tail = end[v]
     return EdgeSubgraph._unchecked(g, frozenset(edges))
 
 

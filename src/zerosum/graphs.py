@@ -55,6 +55,20 @@ class UnionFind:
         return True
 
 
+def greedy_forest(uf: UnionFind, edges, limit: int) -> list:
+    """The edges, in the order given, that each merge two sets of uf (which
+    they then merge), stopping once limit of them are taken."""
+    chosen = []
+    if limit > 0:
+        union = uf.union
+        for e in edges:
+            if union(*e):
+                chosen.append(e)
+                if len(chosen) == limit:
+                    break
+    return chosen
+
+
 @dataclass(frozen=True)
 class StackedCertificate:
     """Construction record of a stacked (recursively triangulated) planar graph.
@@ -126,10 +140,6 @@ class ColoredGraph:
         return cls._unchecked(n, edges, {e: (-1 if e in minus else 1) for e in edges})
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
@@ -161,14 +171,7 @@ class ColoredGraph:
             return False
         if self.is_complete:
             return True
-        uf = UnionFind(self.n)
-        merges = 0
-        for u, v in self.edges:
-            if uf.union(u, v):
-                merges += 1
-                if merges == self.n - 1:
-                    return True
-        return False
+        return len(greedy_forest(UnionFind(self.n), self.edges, self.n - 1)) == self.n - 1
 
     def flipped(self) -> "ColoredGraph":
         """Same graph with every sign negated."""
@@ -265,11 +268,7 @@ def is_forest(h: EdgeSubgraph) -> bool:
 
 
 def is_spanning_tree(h: EdgeSubgraph) -> bool:
-    n = h.host.n
-    if len(h.edges) != n - 1:
-        return False
-    uf = UnionFind(n)
-    return all(uf.union(u, v) for u, v in h.edges)
+    return len(h.edges) == h.host.n - 1 and is_forest(h)
 
 
 def is_linear_forest(h: EdgeSubgraph) -> bool:

@@ -46,6 +46,17 @@ def _require_budget(kind, budget: EnumerationBudget) -> None:
         )
 
 
+def _require_path_masks(n: int, pairs: int, budget: EnumerationBudget) -> None:
+    """Refuse (BudgetExceeded) when the length-4 path masks of that many
+    vertex pairs of K_n, (n-2)(n-3)(n-4)/2 a pair, exceed max_paths."""
+    count = pairs * (n - 2) * (n - 3) * (n - 4) // 2
+    if count > budget.max_paths:
+        raise BudgetExceeded(
+            f"{count:,} length-4 path masks to build; requires max_paths >= {count:,} "
+            f"(budget is {budget.max_paths:,})"
+        )
+
+
 def enumerate_family(
     g: ColoredGraph,
     kind: Union[FamilyKind, PerfectMatchings],
@@ -140,10 +151,12 @@ def _theorem_table(theorem: str, n: int, budget: EnumerationBudget) -> tuple:
     _census_met, and the masks of all family members or, for connected,
     each vertex pair x, y with the mask of the other vertices and the masks
     of the x..y paths of length 4.  Built once per exhaustive_theorem_check
-    call; a family table larger than its budget field is refused."""
+    call; a table larger than its budget field is refused before it is
+    built."""
     met = _census_met(theorem, n)
     eidx = {e: i for i, e in enumerate(complete_edges(n))}
     if theorem == "connected":
+        _require_path_masks(n, binomial(n, 2), budget)
         full = (1 << n) - 1
         return met, [
             (x, y, full ^ (1 << x) ^ (1 << y), _short_path_masks(n, eidx, x, y)[1])

@@ -213,6 +213,13 @@ def test_verify_refuses_a_family_table_over_budget(capsys):
     assert code == 0 and "0 counterexamples" in out
 
 
+def test_verify_refuses_a_path_mask_table_over_budget(capsys):
+    # C(30,2) pairs with 28*27*26/2 length-4 paths each: 4,275,180 masks
+    code, out, err = run_cli(capsys, ["verify", "connected", "30", "--shard", "0", "1"])
+    assert code == 3 and out == ""
+    assert err.startswith("refused:") and "max_paths" in err and "4,275,180" in err
+
+
 def test_verify_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("ZEROSUM_BUDGET", "100")
     code, _, err = run_cli(capsys, ["verify", "tree", "5"])

@@ -195,6 +195,23 @@ def test_matching_k4n_too_large_refuses():
         verify_extremal(MatchingK4n(3))  # K_36: 35!! matchings
 
 
+def test_turan_reference_search_refuses_past_its_budget():
+    # the exhaustive search visits 148,820 partial forests on this witness
+    with pytest.raises(BudgetExceeded, match="max_paths"):
+        verify_extremal(TuranLinearForest(12, 8, "join"), EnumerationBudget(max_paths=10_000))
+    # 11,173 nodes is the most any witness with n, k <= 8 needs
+    assert verify_extremal(TuranLinearForest(8, 7, "clique"), EnumerationBudget(max_paths=11_173))
+    with pytest.raises(BudgetExceeded):
+        verify_extremal(TuranLinearForest(8, 7, "clique"), EnumerationBudget(max_paths=11_172))
+
+
+def test_connectivity_witness_refuses_a_path_mask_table_over_budget():
+    # one pair of K_8 has 6*5*4/2 = 60 length-4 paths
+    assert verify_extremal(ConnectivityMatching(8), EnumerationBudget(max_paths=60))
+    with pytest.raises(BudgetExceeded, match="max_paths"):
+        verify_extremal(ConnectivityMatching(8), EnumerationBudget(max_paths=59))
+
+
 def test_bipartite_sharpness_tree_enumeration_cross_check():
     # the 2n=8 instance fits the default tree budget, so verification also
     # walks all 32,000 spanning trees of K_{4,5}

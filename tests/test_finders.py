@@ -111,6 +111,27 @@ def test_tree_finder_zero_weight_completion_short_circuits():
     assert "direct completion" in report.certificate
 
 
+def test_direct_tree_find_builds_one_union_find_per_seed(monkeypatch):
+    from zerosum import finders, graphs
+
+    built = []
+
+    class CountingUnionFind(graphs.UnionFind):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(graphs, "UnionFind", CountingUnionFind)
+    monkeypatch.setattr(finders, "UnionFind", CountingUnionFind)
+    g = ColoredGraph.complete_with_minus(7, [(0, 1), (0, 6), (2, 3), (4, 5)])
+    rep = find_zero_sum_spanning_tree(g)
+    assert rep.found and rep.weight == 0 and rep.chain_replacements == 0
+    assert rep.certificate.endswith("direct completion")
+    # each colour's seed finds its forest and completes it on one
+    # union-find, and the spanning-tree check builds the third
+    assert built == [7, 7, 7]
+
+
 def test_tree_finder_hypothesis_gate():
     g = ColoredGraph.complete_with_minus(7, [(0, 1), (0, 2)])  # min census 2 <= 3
     report = find_zero_sum_spanning_tree(g)

@@ -15,8 +15,10 @@ from zerosum.graphs import (
     MAXIMAL_PLANAR_STACKED,
     StackedCertificate,
     TRIANGLE_FREE,
+    UnionFind,
     census,
     complete_edges,
+    greedy_forest,
     host_class_check,
     is_diam3_tree,
     is_forest,
@@ -299,3 +301,20 @@ def test_is_connected_of_a_complete_host_runs_no_union_find(monkeypatch):
     assert ColoredGraph.complete(7).is_connected()
     assert complete_from_mask(7, 0b1011).is_connected()
 
+
+
+def test_greedy_forest_takes_merging_edges_in_order_up_to_the_limit():
+    edges = [(3, 4), (0, 1), (1, 3), (0, 4), (2, 5), (0, 3)]
+    # the given order is kept; (0,4) and (0,3) close cycles and are skipped
+    assert greedy_forest(UnionFind(6), edges, 10) == [(3, 4), (0, 1), (1, 3), (2, 5)]
+    uf = UnionFind(6)
+    assert greedy_forest(uf, edges, 0) == []
+    assert uf.parent == list(range(6))
+    # stops at the limit, with only the taken edges merged
+    assert greedy_forest(uf, edges, 2) == [(3, 4), (0, 1)]
+    assert uf.find(0) == uf.find(1) and uf.find(3) == uf.find(4)
+    assert uf.find(1) != uf.find(3)
+    # sets the union-find already joins count as one
+    uf = UnionFind(6)
+    uf.union(0, 4)
+    assert greedy_forest(uf, edges, 10) == [(3, 4), (0, 1), (2, 5)]

@@ -122,6 +122,20 @@ def test_exhaustive_check_refuses_a_family_table_over_budget():
     assert f"{9**7:,}" in str(err.value)
 
 
+def test_exhaustive_check_refuses_a_path_mask_table_over_budget():
+    # C(8,2) pairs of K_8 with 6*5*4/2 length-4 paths each: 1,680 masks,
+    # refused before any is built, even for a one-colouring shard
+    tight = EnumerationBudget(max_paths=1000)
+    with pytest.raises(BudgetExceeded) as err:
+        exhaustive_theorem_check("connected", 8, tight, shard=(0, 1))
+    assert "max_paths" in str(err.value) and "1,680" in str(err.value)
+    # K_7 needs 21 * 30 = 630
+    exact = EnumerationBudget(max_paths=630)
+    assert exhaustive_theorem_check("connected", 7, exact, shard=(0, 1)).passed
+    with pytest.raises(BudgetExceeded):
+        exhaustive_theorem_check("connected", 7, EnumerationBudget(max_paths=629), shard=(0, 1))
+
+
 def test_exhaustive_tree_n5():
     report = exhaustive_theorem_check("tree", 5)
     assert report.passed
