@@ -1,11 +1,12 @@
 """Constructive finders for zero-sum and almost zero-sum subgraphs.
 
-Each finder checks the census hypothesis of the matching guarantee.  The
-spanning-tree and spanning-path finders then extract monochromatic seed
-subgraphs, complete them to family members whose weights straddle zero,
-and hand the pair to the interpolation walk; the diameter-3 finder picks
-a light double star by arithmetic.  Every successful report is
-re-validated against the host signs before it is returned.
+The finders answer every colouring; the census condition of the matching
+guarantee only writes the certificate.  The spanning-tree and spanning-path
+finders extract monochromatic seed subgraphs, complete them to family
+members and walk the interpolation chain between two whose weights straddle
+zero; the diameter-3 finder picks a light double star by arithmetic.  Every
+successful report is re-validated against the host signs before it is
+returned.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def extract_monochromatic_forest(g: ColoredGraph, sign: int, k: int) -> EdgeSubg
 
     A maximal forest of the class is built by the cycle-avoiding pass over
     canonical edge order; the first k edges of it are returned.  When the
-    class is too sparse the best (shorter) forest comes back and callers
-    treat it as the guarantee's hypothesis not being met.
+    class has no k-edge forest the whole maximal forest (fewer edges) comes
+    back.
     """
     if sign not in (-1, 1):
         raise DomainError(f"sign must be -1 or 1, got {sign}")
@@ -66,16 +67,17 @@ def extract_monochromatic_forest(g: ColoredGraph, sign: int, k: int) -> EdgeSubg
     return EdgeSubgraph._unchecked(g, frozenset(chosen))
 
 
-def _tree_seed(g: ColoredGraph, sign: int, k: int) -> Optional[EdgeSubgraph]:
+def _tree_seed(g: ColoredGraph, sign: int, k: int) -> EdgeSubgraph:
     """A spanning tree through the k-edge greedy forest of one colour class
     (see extract_monochromatic_forest), completed with host edges in
-    canonical order on the same union-find; None when the class has no
-    k-edge forest."""
+    canonical order on the same union-find.  A class with no k-edge forest
+    gives a short seed through its maximal forest: no completion edge has
+    the class's sign, so no spanning tree has more edges of that sign (the
+    class's rank in the graphic matroid), and a short -1 seed is a lightest
+    tree, a short +1 seed a heaviest."""
     uf = UnionFind(g.n)
     tree = greedy_forest(uf, (e for e in g.edges if g.sign[e] == sign), k)
-    if len(tree) < k:
-        return None
-    tree += greedy_forest(uf, g.edges, g.n - 1 - k)
+    tree += greedy_forest(uf, g.edges, g.n - 1 - len(tree))
     return EdgeSubgraph._unchecked(g, frozenset(tree))
 
 
@@ -103,8 +105,11 @@ def _settle(kind, weights, seed, predicate, direct_text, walked_text) -> Optiona
 
 
 def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindReport:
-    """Spanning tree with |weight| <= 1, certified by the census threshold
-    of the host class."""
+    """Spanning tree with |weight| <= 1 on every colouring, certified by the
+    host class's census condition when it holds.  As k >= (n-1)//2, a full
+    -1 seed (see _tree_seed) weighs <= 1 and a full +1 seed >= -1; so seeds
+    that neither settle nor straddle zero are a lightest tree above 1 or a
+    heaviest below -1, and found=False means no such tree exists."""
     if g.n < 2:
         raise DomainError("need at least 2 vertices")
     if not g.is_connected():
@@ -122,25 +127,19 @@ def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindRep
         )
     k = guarantee.k(n)
     holds, descr = guarantee.condition(n, census(g).minimum, d)
-    if not holds:
-        return FindReport(False, None, 0, f"hypothesis not met: {descr}", 0)
+    basis = descr if holds else f"hypothesis not met: {descr}"
     trees = [_tree_seed(g, s, k) for s in (-1, 1)]
-    if None in trees:
-        # cannot happen when the threshold arithmetic is right; reported
-        # rather than asserted so a caller sees which side fell short
-        short = "-1" if trees[0] is None else "+1"
-        return FindReport(
-            False, None, 0, f"forest extraction fell short on the {short} class ({descr})", 0
-        )
     report = _settle(
         SpanningTrees(g),
         [weight(t) for t in trees],
         trees.__getitem__,
         is_spanning_tree,
-        f"{descr}; direct completion",
-        f"{descr}; interpolated",
+        f"{basis}; direct completion",
+        f"{basis}; interpolated",
     )
-    assert report is not None, "seed trees of a met hypothesis straddle zero"
+    if report is None:
+        assert not holds, "seed trees of a met hypothesis straddle zero"
+        return FindReport(False, None, 0, basis, 0)
     return report
 
 
@@ -209,6 +208,8 @@ def find_zero_sum_spanning_path(g: ColoredGraph) -> FindReport:
     interpolate between the lowest- and highest-weight parts.  When every
     part sits strictly on one side, falls back to the census route:
     half-sized monochromatic linear forests, completion, interpolation.
+    Below the census threshold its certificates start with the threshold
+    text, and found=False there carries no proof that no such path exists.
     """
     if not g.is_complete:
         raise DomainError("host must be complete")
@@ -241,33 +242,26 @@ def find_zero_sum_spanning_path(g: ColoredGraph) -> FindReport:
     report = _settle(kind, weights, seed, is_hamiltonian_path, direct, f"{route} interpolation")
     if report is not None:
         return report
-    routes = [f"{route} route failed: all part weights one-signed"]
 
     guarantee = GUARANTEES["path-census", "complete"]
-    if n < guarantee.min_n(0):
-        routes.append(f"census route needs n >= {guarantee.min_n(0)}")
-    else:
-        holds, text = guarantee.condition(n, census(g).minimum)
-        if not holds:
-            routes.append(text)
-        else:
-            k = guarantee.k(n)
-            forests = [_linear_forest(g, s, k) for s in (-1, 1)]
-            if None in forests:
-                routes.append("census threshold met but no half-sized linear forest found")
-            else:
-                paths = [_linear_forest_to_hampath(g, f) for f in forests]
-                report = _settle(
-                    kind,
-                    [weight(p) for p in paths],
-                    paths.__getitem__,
-                    is_hamiltonian_path,
-                    "census-route completion used directly",
-                    "census-route interpolation",
-                )
-                assert report is not None, "census-route seed paths straddle zero"
-                return report
-    return FindReport(False, None, 0, "; ".join(routes), 0)
+    holds, text = guarantee.condition(n, census(g).minimum)
+    forests = [_linear_forest(g, s, guarantee.k(n)) for s in (-1, 1)]
+    if None in forests:
+        why = "census threshold met but no half-sized linear forest found" if holds else text
+        failed = f"{route} route failed: all part weights one-signed"
+        return FindReport(False, None, 0, f"{failed}; {why}", 0)
+    prefix = "" if holds else f"{text}; "
+    paths = [_linear_forest_to_hampath(g, f) for f in forests]
+    report = _settle(
+        kind,
+        [weight(p) for p in paths],
+        paths.__getitem__,
+        is_hamiltonian_path,
+        f"{prefix}census-route completion used directly",
+        f"{prefix}census-route interpolation",
+    )
+    assert report is not None, "census-route seed paths straddle zero"
+    return report
 
 
 # --- diameter-3 trees ---------------------------------------------------------
@@ -320,7 +314,8 @@ def _double_star(g: ColoredGraph) -> Optional[tuple[int, int, frozenset]]:
 
 
 def find_zero_sum_diam3_tree(g: ColoredGraph) -> FindReport:
-    """Spanning tree of diameter <= 3 with |weight| <= 1 of a complete host.
+    """Spanning tree of diameter <= 3 with |weight| <= 1 of a complete host,
+    on every colouring; found=False means none exists.
 
     A spanning star of weight |w| <= 1 centred on the vertex of most -1,
     then most +1, edges is used directly; otherwise the first double star
@@ -333,8 +328,7 @@ def find_zero_sum_diam3_tree(g: ColoredGraph) -> FindReport:
     if n < guarantee.min_n(0):
         raise DomainError(f"need at least {guarantee.min_n(0)} vertices")
     holds, descr = guarantee.condition(n, census(g).minimum)
-    if not holds:
-        return FindReport(False, None, 0, f"hypothesis not met: {descr}", 0)
+    basis = descr if holds else f"hypothesis not met: {descr}"
     # the -1 star centres on the first vertex of most -1 edges, the +1
     # star on the first of fewest; in K_n the star at a vertex of -1
     # degree d weighs n-1 - 2d
@@ -346,14 +340,16 @@ def find_zero_sum_diam3_tree(g: ColoredGraph) -> FindReport:
             return _validated(
                 EdgeSubgraph._unchecked(g, star),
                 is_diam3_tree,
-                f"{descr}; spanning star used directly",
+                f"{basis}; spanning star used directly",
                 0,
             )
     found = _double_star(g)
-    assert found is not None, "a met hypothesis leaves a double star of |weight| <= 1"
+    if found is None:
+        assert not holds, "a met hypothesis leaves a double star of |weight| <= 1"
+        return FindReport(False, None, 0, basis, 0)
     u, v, edges = found
     return _validated(
-        EdgeSubgraph._unchecked(g, edges), is_diam3_tree, f"{descr}; double star on {u}-{v}", 0
+        EdgeSubgraph._unchecked(g, edges), is_diam3_tree, f"{basis}; double star on {u}-{v}", 0
     )
 
 

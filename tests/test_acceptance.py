@@ -351,17 +351,22 @@ def test_linear_forest_constructor_on_every_7_vertex_colour_class():
 def test_double_star_rule_matches_oracle_scan_on_every_k7_colouring():
     # with no hypothesis, the double-star rule finds a diameter-3 tree of
     # |w| <= 1 on K_7 exactly when the oracle's family-mask scan finds a
-    # member with 3 -1 edges
+    # member with 3 -1 edges; below the census hypothesis, so does the
+    # public finder
     from zerosum.families import DEFAULT_BUDGET
-    from zerosum.finders import _double_star
+    from zerosum.finders import _double_star, find_zero_sum_diam3_tree
     from zerosum.oracle import _theorem_table
 
     n = 7
-    _, masks = _theorem_table("diam3", n, DEFAULT_BUDGET)
+    met, masks = _theorem_table("diam3", n, DEFAULT_BUDGET)
     light = ((n - 1) // 2, n // 2)
-    found = 0
+    found = below = 0
     for mask in range(1 << binomial(n, 2)):
         exists = any((m & mask).bit_count() in light for m in masks)
-        assert (_double_star(complete_from_mask(n, mask)) is not None) == exists, mask
+        g = complete_from_mask(n, mask)
+        assert (_double_star(g) is not None) == exists, mask
+        if not met[mask.bit_count()]:
+            assert find_zero_sum_diam3_tree(g).found == exists, mask
+            below += 1
         found += exists
-    assert 0 < found < 1 << 21
+    assert 0 < found < 1 << 21 and below == 396_880

@@ -338,6 +338,22 @@ def test_find_diam3_json_double_star_route(tmp_path, capsys):
     }
 
 
+def test_find_diam3_below_the_hypothesis_exits_0(tmp_path, capsys):
+    # every edge at 0 is +1, the rest -1: min census 6 <= 7, yet the double
+    # star on 0-1 weighs 0
+    minus = [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]
+    path = tmp_path / "k7.edges"
+    path.write_text(write_edge_list(ColoredGraph.complete_with_minus(7, minus)))
+    code, out, _ = run_cli(capsys, ["find", "diam3", str(path), "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["found"] and payload["weight"] == 0
+    assert payload["certificate"] == (
+        "hypothesis not met: min{e(-1),e(1)}=6 needs > 7 = floor(n/2*floor((n-3)/2)); "
+        "double star on 0-1"
+    )
+
+
 def test_find_path_and_diam3_on_sharp_colourings_exit_1(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["extremal", "path-sharpness", "7"])
     code, out, _ = run_cli(capsys, ["find", "path", "-"], stdin=out, monkeypatch=monkeypatch)

@@ -13,6 +13,7 @@ from zerosum.extremal import (
     PathSharpness,
     PlanarSharpness,
     StarExtremalCirculant,
+    TreeSharpness,
     _find_linear_forest,
     make_extremal_graph,
 )
@@ -138,6 +139,55 @@ def test_tree_finder_hypothesis_gate():
     assert not report.found
     assert "hypothesis not met" in report.certificate
     assert "needs > 3" in report.certificate
+
+
+def _light_member_scan(theorem, n):
+    """The census-met list of the oracle's table for theorem on K_n, and
+    exists(mask): whether its family masks hold a member with (n-1)//2 or
+    n//2 -1 edges on the colouring mask, that is one of |weight| <= 1."""
+    met, masks = _theorem_table(theorem, n, DEFAULT_BUDGET)
+    light = ((n - 1) // 2, n // 2)
+    return met, lambda mask: any((m & mask).bit_count() in light for m in masks)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize(
+    "theorem, finder",
+    [("tree", find_zero_sum_spanning_tree), ("path-census", find_zero_sum_spanning_path)],
+)
+def test_finder_found_exactly_when_a_member_exists(theorem, finder, n):
+    # on every colouring of K_n, below the census hypothesis too (diam3 is
+    # checked with the double-star rule below)
+    _, exists = _light_member_scan(theorem, n)
+    for mask in range(1 << binomial(n, 2)):
+        assert finder(complete_from_mask(n, mask)).found == exists(mask), mask
+
+
+def test_tree_finder_complete_below_the_k7_hypothesis():
+    # the 3,124 colourings of K_7 with min census <= 3
+    met, exists = _light_member_scan("tree", 7)
+    below = found = 0
+    for mask in range(1 << 21):
+        if met[mask.bit_count()]:
+            continue
+        report = find_zero_sum_spanning_tree(complete_from_mask(7, mask))
+        assert report.found == exists(mask), mask
+        assert report.certificate.startswith("hypothesis not met: complete host: ")
+        below += 1
+        found += report.found
+    assert (below, found) == (3124, 2590)
+
+
+def test_path_finder_complete_on_the_k7_sample():
+    # no proof covers the census route below its threshold; on this sample
+    # every path the finder misses is missing
+    _, exists = _light_member_scan("path-census", 7)
+    missed = 0
+    for g, mask in zip(_k7_sampled_colourings(), range(0, 1 << 21, 37)):
+        report = find_zero_sum_spanning_path(g)
+        assert report.found == exists(mask), mask
+        missed += not report.found
+    assert missed == 22
 
 
 def test_tree_finder_all_one_sign_graceful():
@@ -317,12 +367,24 @@ def test_guarantees_hold_under_sampling_at_larger_n():
 
 
 def test_diam3_finder_hypothesis_gate():
-    # all edges at vertex 0 are +1, the rest -1: min census 6 <= 7
+    # all edges at vertex 0 are +1, the rest -1: min census 6 <= 7, but the
+    # double star on 0-1 weighs 0
     minus = [e for e in complete_edges(7) if 0 not in e]
     g = ColoredGraph.complete_with_minus(7, minus)
     assert census(g).minimum == 6
     report = find_zero_sum_diam3_tree(g)
-    assert not report.found and "hypothesis not met" in report.certificate
+    assert report.found and report.weight == 0
+    assert tree_diameter(report.subgraph) <= 3
+    assert report.certificate == (
+        "hypothesis not met: min{e(-1),e(1)}=6 needs > 7 = floor(n/2*floor((n-3)/2)); "
+        "double star on 0-1"
+    )
+    # the tree-sharpness colouring has no light diameter-3 tree at all
+    report = find_zero_sum_diam3_tree(make_extremal_graph(TreeSharpness(7)))
+    assert not report.found and report.subgraph is None
+    assert report.certificate == (
+        "hypothesis not met: min{e(-1),e(1)}=3 needs > 7 = floor(n/2*floor((n-3)/2))"
+    )
 
 
 def test_diam3_finder_k7():
@@ -336,24 +398,22 @@ def test_diam3_finder_k7():
     assert report.certificate.endswith("; double star on 0-1")
 
 
-@pytest.mark.parametrize("n", range(4, 7))
+@pytest.mark.parametrize("n", range(3, 7))
 def test_double_star_matches_oracle_scan_on_every_colouring(n):
     # with no hypothesis, the double-star rule finds a diameter-3 tree of
     # |w| <= 1 exactly when the oracle's family-mask scan finds a member
-    # with (n-1)//2 or n//2 -1 edges; the public finder still answers
-    # found exactly when the census hypothesis is met
-    met, masks = _theorem_table("diam3", n, DEFAULT_BUDGET)
-    light = ((n - 1) // 2, n // 2)
+    # with (n-1)//2 or n//2 -1 edges, and so does the public finder
+    _, member_exists = _light_member_scan("diam3", n)
     for mask in range(1 << binomial(n, 2)):
         g = complete_from_mask(n, mask)
-        exists = any((m & mask).bit_count() in light for m in masks)
+        exists = member_exists(mask)
         star = _double_star(g)
         assert (star is not None) == exists, mask
         if star is not None:
             u, v, edges = star
             h = EdgeSubgraph._unchecked(g, edges)
             assert (u, v) in edges and tree_diameter(h) <= 3 and abs(weight(h)) <= 1, mask
-        assert find_zero_sum_diam3_tree(g).found == met[mask.bit_count()], mask
+        assert find_zero_sum_diam3_tree(g).found == exists, mask
 
 
 def _checked_diam3_report(g):
@@ -562,8 +622,8 @@ def _k6_colourings():
 
 
 def _k7_sampled_colourings():
-    # every 37th mask: the census route never fires on these, so the run
-    # pins the odd-n cycle-decomposition route alone
+    # every 37th mask: the census route fires on these only below its
+    # threshold
     return (complete_from_mask(7, mask) for mask in range(0, 1 << 21, 37))
 
 
@@ -600,14 +660,18 @@ FINDER_RUNS = {
 # census-route reports changed, all still valid); k6-diam3 again when the
 # double-star rule replaced the walk between two spanning stars (the
 # 10,392 formerly walked reports of its 31,616 found ones changed, 384 of
-# them to a pair other than 0-1; the found flags did not)
+# them to a pair other than 0-1; the found flags did not); k6-diam3,
+# k7-path, planar7-tree and dtree8-tree again when the finders stopped
+# refusing below their census hypothesis (1,120, 1,317, 884 and 560
+# reports changed, each a below-hypothesis refusal that became a validated
+# member; every K_6 colouring that k6-tree and k6-path refuse has none)
 FINDER_DIGESTS = {
     "k6-tree": "0e5efef7affb0a15cff76703444e7383dee2499b7a2336236c48dbbc2895b3dc",
-    "k6-diam3": "37ad02c9e8a4e7b393addd0b379992cf3323bd19f9a05c1552f7aec45194ff62",
+    "k6-diam3": "298737bba415bb91b973dbffe4875df82f2d27bb52084744c1fc0938e3371a50",
     "k6-path": "9f9fd2d1f2b0863f32e86a6222ed22f689aa23cdb62693a58662c44416f92df9",
-    "k7-path": "c06bd3e88be38acdca1e4f29d8fb9c9529f42279bd0690cbb24a9046ce87fe25",
-    "planar7-tree": "3e3c5becebd93ed68c240c84c7bbb1655b79b426205f14987f538eaf213f1505",
-    "dtree8-tree": "843107463cde15f4bf266b38bb127fec88ad57c426d9fcdcd40686699cd819c4",
+    "k7-path": "48b076cdf087eeefe8d2e4086b269f7291518060a7ac8a5e0fb42bf667a28cfb",
+    "planar7-tree": "2de22ab07498bde8d85bfd95f6c172d767acd27bdc460c883b7f1c706ebfba84",
+    "dtree8-tree": "70496bd3a4fde39fa5421c2f97363118f1958c566e4051b15c2649d25d532daf",
 }
 
 

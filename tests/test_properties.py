@@ -1,4 +1,5 @@
-"""Property tests of the edge-list format: round trips and parser errors."""
+"""Property tests of the edge-list format (round trips and parser errors)
+and of the tree finder against an independent reference."""
 
 import itertools
 from dataclasses import fields
@@ -7,7 +8,16 @@ import pytest
 
 from zerosum.errors import DomainError, GraphFormatError
 from zerosum.extremal import CONSTRUCTIONS, construction_from_args, construction_header
-from zerosum.graphs import ColoredGraph, complete_edges, read_edge_list, write_edge_list
+from zerosum.finders import find_zero_sum_spanning_tree
+from zerosum.graphs import (
+    COMPLETE,
+    TRIANGLE_FREE,
+    ColoredGraph,
+    complete_edges,
+    is_spanning_tree,
+    read_edge_list,
+    write_edge_list,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -102,3 +112,44 @@ def test_parser_raises_only_format_or_domain_errors(text):
     except (GraphFormatError, DomainError):
         return
     _round_trips(g)
+
+
+@st.composite
+def signed_tree_hosts(draw):
+    """(host class, signed host) on n <= 14 vertices: K_n, or a connected
+    bipartite graph with sides 0..a-1 and a..n-1, made of a random spanning
+    tree plus random edges between the sides."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 14))
+        host_class, edges = COMPLETE, complete_edges(n)
+    else:
+        a, b = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        n = a + b
+        edges, placed = {(0, a)}, [0, a]
+        for v in [*range(1, a), *range(a + 1, n)]:
+            u = draw(st.sampled_from([u for u in placed if (u < a) != (v < a)]))
+            edges.add((min(u, v), max(u, v)))
+            placed.append(v)
+        edges |= {(u, v) for u in range(a) for v in range(a, n) if draw(st.booleans())}
+        host_class, edges = TRIANGLE_FREE, sorted(edges)
+    minus = draw(st.integers(0, (1 << len(edges)) - 1))
+    rows = [(u, v, -1 if (minus >> i) & 1 else 1) for i, (u, v) in enumerate(edges)]
+    return host_class, ColoredGraph(n, rows)
+
+
+@PROPERTY_SETTINGS
+@given(signed_tree_hosts())
+def test_tree_finder_matches_networkx_weight_range(host):
+    # spanning-tree weights take every value of one parity between the
+    # lightest and the heaviest tree (basis exchange), so a tree with
+    # |w| <= 1 exists iff min <= 1 and max >= -1
+    nx = pytest.importorskip("networkx")
+    host_class, g = host
+    h = nx.Graph()
+    h.add_weighted_edges_from((u, v, g.sign[u, v]) for u, v in g.edges)
+    lo = nx.minimum_spanning_tree(h).size(weight="weight")
+    hi = nx.maximum_spanning_tree(h).size(weight="weight")
+    report = find_zero_sum_spanning_tree(g, host_class)
+    assert report.found == (lo <= 1 and hi >= -1), (g.sign, report.certificate)
+    if report.found:
+        assert is_spanning_tree(report.subgraph) and abs(report.weight) <= 1
