@@ -481,7 +481,17 @@ def perfect_matching_count(n: int) -> int:
 # --- member edge sets -------------------------------------------------------------
 
 
-def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
+def _edge_table(n: int) -> list[list[tuple[int, int]]]:
+    """table[u][v] = the canonical edge uv, for every u != v < n."""
+    return [[canonical_edge(u, v) for v in range(n)] for u in range(n)]
+
+
+def _prufer_edges(seq: tuple[int, ...], n: int, table=None) -> list:
+    """The n-1 edges uv of the labelled tree on n >= 2 vertices with
+    Pruefer sequence seq, each as table[u][v] of a symmetric table (the
+    canonical edge uv by default; the oracle passes its edge bits)."""
+    if table is None:
+        table = _edge_table(n)
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -491,7 +501,7 @@ def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
         ptr += 1
     leaf = ptr
     for x in seq:
-        edges.append(canonical_edge(leaf, x))
+        edges.append(table[leaf][x])
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
@@ -500,16 +510,23 @@ def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append(canonical_edge(leaf, n - 1))
+    edges.append(table[leaf][n - 1])
     return edges
+
+
+def _prufer_trees(n: int, table) -> Iterator[list]:
+    """Every labelled tree on n >= 2 vertices once, as _prufer_edges lists
+    over table, in lexicographic order of their Pruefer sequences."""
+    for seq in itertools.product(range(n), repeat=n - 2):
+        yield _prufer_edges(seq, n, table)
 
 
 def _complete_tree_edge_sets(n: int) -> Iterator[frozenset]:
     if n <= 1:
         yield frozenset()
         return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        yield frozenset(_prufer_edges(seq, n))
+    for edges in _prufer_trees(n, _edge_table(n)):
+        yield frozenset(edges)
 
 
 def _generic_tree_edge_sets(g: ColoredGraph) -> Iterator[frozenset]:

@@ -1,7 +1,8 @@
 """Constructive finders for zero-sum and almost zero-sum subgraphs.
 
 The finders answer every colouring; the census condition of the matching
-guarantee only writes the certificate.  The spanning-tree and spanning-path
+guarantee, and for spanning trees the host class, only writes the
+certificate.  The spanning-tree and spanning-path
 finders extract monochromatic seed subgraphs, complete them to family
 members and walk the interpolation chain between two whose weights straddle
 zero; the diameter-3 finder picks a light double star by arithmetic.  Every
@@ -67,18 +68,20 @@ def extract_monochromatic_forest(g: ColoredGraph, sign: int, k: int) -> EdgeSubg
     return EdgeSubgraph._unchecked(g, frozenset(chosen))
 
 
-def _tree_seed(g: ColoredGraph, sign: int, k: int) -> EdgeSubgraph:
-    """A spanning tree through the k-edge greedy forest of one colour class
-    (see extract_monochromatic_forest), completed with host edges in
-    canonical order on the same union-find.  A class with no k-edge forest
-    gives a short seed through its maximal forest: no completion edge has
-    the class's sign, so no spanning tree has more edges of that sign (the
-    class's rank in the graphic matroid), and a short -1 seed is a lightest
-    tree, a short +1 seed a heaviest."""
-    uf = UnionFind(g.n)
-    tree = greedy_forest(uf, (e for e in g.edges if g.sign[e] == sign), k)
-    tree += greedy_forest(uf, g.edges, g.n - 1 - len(tree))
-    return EdgeSubgraph._unchecked(g, frozenset(tree))
+def _tree_seed(n: int, class_edges, host_edges, k: int) -> list:
+    """A spanning tree of the host on n vertices through the k-edge greedy
+    forest of one colour class (see extract_monochromatic_forest), as its
+    edge list: class_edges streams that class's edges and host_edges all
+    host edges, each in canonical order, and the completion runs on the
+    forest's own union-find.  A class with no k-edge forest gives a short
+    seed through its maximal forest: no completion edge has the class's
+    sign, so no spanning tree has more edges of that sign (the class's rank
+    in the graphic matroid), and a short -1 seed is a lightest tree, a
+    short +1 seed a heaviest."""
+    uf = UnionFind(n)
+    tree = greedy_forest(uf, class_edges, k)
+    tree += greedy_forest(uf, host_edges, n - 1 - len(tree))
+    return tree
 
 
 def _validated(sub: EdgeSubgraph, predicate, certificate: str, replacements: int) -> FindReport:
@@ -105,11 +108,13 @@ def _settle(kind, weights, seed, predicate, direct_text, walked_text) -> Optiona
 
 
 def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindReport:
-    """Spanning tree with |weight| <= 1 on every colouring, certified by the
-    host class's census condition when it holds.  As k >= (n-1)//2, a full
-    -1 seed (see _tree_seed) weighs <= 1 and a full +1 seed >= -1; so seeds
-    that neither settle nor straddle zero are a lightest tree above 1 or a
-    heaviest below -1, and found=False means no such tree exists."""
+    """Spanning tree with |weight| <= 1 on every connected host.  As
+    k >= (n-1)//2, a full -1 seed (see _tree_seed) weighs <= 1 and a full
+    +1 seed >= -1; so seeds that neither settle nor straddle zero are a
+    lightest tree above 1 or a heaviest below -1, and found=False means no
+    such tree exists.  The host class only chooses the certificate: its
+    census condition when the host is in the class and of an order the
+    guarantee covers, otherwise the reason it is not certified."""
     if g.n < 2:
         raise DomainError("need at least 2 vertices")
     if not g.is_connected():
@@ -118,17 +123,24 @@ def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindRep
     if guarantee is None:
         raise DomainError(f"unsupported host class {host_class!r}")
     d = getattr(host_class, "d", 0)
-    if not host_class_check(g, host_class):
-        raise DomainError(f"host is not {guarantee.host.format(d=d)}")
     n = g.n
-    if n < guarantee.min_n(d):
-        raise DomainError(
-            f"{guarantee.label.format(d=d)} guarantee needs n >= {guarantee.min_n(d)}"
-        )
+    holds = False
+    if not host_class_check(g, host_class):
+        basis = f"host class not certified: host is not {guarantee.host.format(d=d)}"
+    elif n < guarantee.min_n(d):
+        label = guarantee.label.format(d=d)
+        basis = f"hypothesis not met: {label} guarantee needs n >= {guarantee.min_n(d)}"
+    else:
+        holds, descr = guarantee.condition(n, census(g).minimum, d)
+        basis = descr if holds else f"hypothesis not met: {descr}"
     k = guarantee.k(n)
-    holds, descr = guarantee.condition(n, census(g).minimum, d)
-    basis = descr if holds else f"hypothesis not met: {descr}"
-    trees = [_tree_seed(g, s, k) for s in (-1, 1)]
+    edges, sign = g.edges, g.sign
+    trees = [
+        EdgeSubgraph._unchecked(
+            g, frozenset(_tree_seed(n, (e for e in edges if sign[e] == s), edges, k))
+        )
+        for s in (-1, 1)
+    ]
     report = _settle(
         SpanningTrees(g),
         [weight(t) for t in trees],

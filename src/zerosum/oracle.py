@@ -15,6 +15,8 @@ their reports merge associatively.
 from __future__ import annotations
 
 import os
+import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Iterator, Optional, Union
@@ -29,6 +31,7 @@ from .families import (
     HamiltonianPaths,
     PerfectMatchings,
     SpanningTrees,
+    _prufer_trees,
 )
 from .graphs import ColoredGraph, EdgeSubgraph, binomial, canonical_edge, complete_edges
 from .thresholds import GUARANTEES, decomposition_bound
@@ -132,6 +135,21 @@ def _family_masks(family, eidx) -> list[int]:
     return [_mask_of(s, eidx) for s in family.edge_sets()]
 
 
+def _edge_bits(n: int) -> list[list[int]]:
+    """bit[u][v] = bit[v][u] = the bit of edge uv in a colouring mask of K_n."""
+    bit = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(complete_edges(n)):
+        bit[u][v] = bit[v][u] = 1 << i
+    return bit
+
+
+def _tree_masks(n: int) -> list[int]:
+    """The masks of all n^(n-2) spanning trees of K_n, n >= 2, decoded from
+    their Pruefer sequences straight to edge bits; sorted, so that the tree
+    scan tests membership by bisection."""
+    return sorted(sum(bits) for bits in _prufer_trees(n, _edge_bits(n)))
+
+
 def _census_met(theorem: str, n: int) -> list[bool]:
     """met[e] tells whether a colouring of K_n with e edges -1 meets the
     theorem's hypothesis, for e = 0..C(n,2)."""
@@ -165,12 +183,16 @@ def _theorem_table(theorem: str, n: int, budget: EnumerationBudget) -> tuple:
         ]
     family = _FAMILY_THEOREMS[theorem][0](ColoredGraph.complete(n))
     _require_budget(family, budget)
+    if theorem == "tree":
+        return met, _tree_masks(n)
     return met, _family_masks(family, eidx)
 
 
 def _check_range(theorem: str, n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
     if theorem == "connected":
         return _connected_core(n, lo, hi, table)
+    if theorem == "tree":
+        return _tree_core(n, lo, hi, table)
     return _family_core(theorem, n, lo, hi, table)
 
 
@@ -218,6 +240,57 @@ def _family_core(theorem: str, n: int, lo: int, hi: int, table: tuple) -> Theore
             report.confirmed += 1
         else:
             ces.append({"mask": mask, "reason": f"finder failed: {rep.certificate}"})
+    return report
+
+
+def _tree_core(n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
+    met, members = table
+    edges = complete_edges(n)
+    bit = _edge_bits(n)
+    full = (1 << len(edges)) - 1
+    k = GUARANTEES["tree", "complete"].k(n)
+    # the finder's seeds, built from each colouring's edge streams read off
+    # the mask bits; every seed is checked here against the oracle's own
+    # member table, so the finder is trusted for nothing.  Only when both
+    # seeds are members and neither settles does the finder itself run, to
+    # interpolate, and its tree is checked the same way.
+    seed = finders._tree_seed
+    finder = getattr(finders, _FAMILY_THEOREMS["tree"][1])
+    size = len(members)
+
+    def member(t: int) -> bool:
+        i = bisect_left(members, t)
+        return i < size and members[i] == t
+
+    report = TheoremReport("tree", n, lo, hi)
+    ces = report.counterexamples
+    for mask in range(lo, hi):
+        if not met[mask.bit_count()]:
+            continue
+        report.hypothesis_met += 1
+        reason = None
+        for cls in (mask, full ^ mask):
+            tree = seed(n, (e for i, e in enumerate(edges) if cls >> i & 1), edges, k)
+            t = 0
+            for u, v in tree:
+                t |= bit[u][v]
+            if not member(t):
+                reason = f"finder failed: seed {sorted(tree)} is not a spanning tree"
+                break
+            if abs(n - 1 - 2 * (t & mask).bit_count()) <= 1:
+                break
+        else:
+            rep = finder(_graph_from_mask(n, edges, mask))
+            t = 0
+            if rep.found:
+                for u, v in rep.subgraph.edges:
+                    t |= bit[u][v]
+            if not (rep.found and member(t) and abs(n - 1 - 2 * (t & mask).bit_count()) <= 1):
+                reason = f"finder failed: {rep.certificate}"
+        if reason is None:
+            report.confirmed += 1
+        else:
+            ces.append({"mask": mask, "reason": reason})
     return report
 
 
@@ -317,7 +390,9 @@ def exhaustive_theorem_check(
     checking the named guarantee on every colouring meeting its
     hypothesis.  jobs > 1 splits the range across worker processes, at
     most one per CPU; shards merge associatively.  emit, when given,
-    receives progress dictionaries as chunks complete.
+    receives a progress dictionary as each chunk completes: colourings
+    done and in total, seconds elapsed since the call started, the rate
+    in colourings/s, and the hypothesis_met and confirmed totals so far.
     """
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
@@ -335,12 +410,26 @@ def exhaustive_theorem_check(
             f"{hi - lo:,} colourings to check; requires max_colorings >= {hi - lo:,} "
             f"(budget is {budget.max_colorings:,})"
         )
+    start = time.perf_counter()
+
+    def progress(done: int, report: TheoremReport) -> None:
+        elapsed = time.perf_counter() - start
+        emit({
+            "type": "progress",
+            "done": done,
+            "total": hi - lo,
+            "elapsed_s": round(elapsed, 3),
+            "rate": round(done / elapsed, 1) if elapsed > 0 else None,
+            "hypothesis_met": report.hypothesis_met,
+            "confirmed": report.confirmed,
+        })
+
     table = _theorem_table(theorem, n, budget)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1 or hi - lo < 8192:
         report = _check_range(theorem, n, lo, hi, table)
         if emit is not None:
-            emit({"type": "progress", "done": hi - lo, "total": hi - lo})
+            progress(hi - lo, report)
         return report
 
     chunk_count = jobs * 4
@@ -356,5 +445,5 @@ def exhaustive_theorem_check(
             merged.counterexamples.extend(part.counterexamples)
             done += part.hi - part.lo
             if emit is not None:
-                emit({"type": "progress", "done": done, "total": hi - lo})
+                progress(done, merged)
     return merged

@@ -92,9 +92,11 @@ class Guarantee:
     member, in each colour class; min{e(-1), e(1)} above bound(n) forces
     both (reaching it suffices when strict is False).  bound_at(n, k, d)
     evaluates the formula named by formula, d being the degeneracy of a
-    d-tree host and 0 elsewhere.  The finder accepts orders n >= min_n(d).
+    d-tree host and 0 elsewhere.  The guarantee covers orders
+    n >= min_n(d); the tree finder answers smaller ones uncertified.
     text is the condition as certificates print it; label and host name
-    the host class there and in the error for a graph outside the class.
+    the host class there, host also in the certificate for a graph
+    outside the class.
     exact is False when the bound only caps the true threshold from above.
     """
 

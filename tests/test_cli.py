@@ -248,6 +248,29 @@ def test_verify_shard(capsys):
     assert summary["range"] == [0, 4096]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_json_progress_carries_rate_and_totals(capsys, jobs):
+    code, out, _ = run_cli(capsys, ["verify", "tree", "6", "--json", "--jobs", jobs])
+    assert code == 0
+    events = [json.loads(line) for line in out.splitlines()]
+    progress = [e for e in events if e["type"] == "progress"]
+    summary = events[-1]
+    assert progress and summary["type"] == "summary"
+    keys = {"type", "done", "total", "elapsed_s", "rate", "hypothesis_met", "confirmed"}
+    for before, event in zip([None] + progress, progress):
+        assert set(event) == keys
+        assert event["elapsed_s"] > 0 and event["rate"] > 0
+        if before is not None:
+            assert event["done"] > before["done"]
+            assert event["hypothesis_met"] >= before["hypothesis_met"]
+    last = progress[-1]
+    assert last["done"] == last["total"] == summary["colourings"]
+    assert (last["hypothesis_met"], last["confirmed"]) == (
+        summary["hypothesis_met"],
+        summary["confirmed"],
+    )
+
+
 def test_verify_jobs_below_one_is_exit_2(capsys):
     code, out, err = run_cli(capsys, ["verify", "tree", "5", "--jobs", "0"])
     assert code == 2 and out == ""

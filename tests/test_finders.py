@@ -15,6 +15,8 @@ from zerosum.extremal import (
     StarExtremalCirculant,
     TreeSharpness,
     _find_linear_forest,
+    _lowest_dtree_edges,
+    _stacked_planar_host,
     make_extremal_graph,
 )
 from zerosum.families import DEFAULT_BUDGET, Diam3Trees, HamiltonianPaths, SpanningTrees
@@ -219,8 +221,10 @@ def test_tree_finder_dtree_host():
     assert census(g).minimum == 5 > 3
     report = find_zero_sum_spanning_tree(g, DTree(2))
     assert report.found and abs(report.weight) == 1  # 7 edges, odd
-    with pytest.raises(DomainError):
-        find_zero_sum_spanning_tree(g, DTree(3))  # host is not a 3-tree
+    # the host is not a 3-tree: the same tree, without the census certificate
+    other = find_zero_sum_spanning_tree(g, DTree(3))
+    assert (other.found, other.subgraph, other.weight) == (True, report.subgraph, report.weight)
+    assert other.certificate.startswith("host class not certified: host is not a 3-tree; ")
 
 
 def test_tree_finder_planar_host():
@@ -238,12 +242,62 @@ def test_tree_finder_planar_host():
     assert report.found and report.weight == 0
 
 
-def test_tree_finder_rejects_wrong_host_class():
-    g = ColoredGraph.complete(6)
-    with pytest.raises(DomainError):
-        find_zero_sum_spanning_tree(g, TRIANGLE_FREE)
-    with pytest.raises(DomainError):
-        find_zero_sum_spanning_tree(g, MAXIMAL_PLANAR_STACKED)
+def test_tree_finder_certifies_only_a_host_of_its_class():
+    g = ColoredGraph.complete_with_minus(6, [(0, 1), (2, 3), (4, 5)])
+    for host_class, name in [
+        (TRIANGLE_FREE, "triangle-free"),
+        (MAXIMAL_PLANAR_STACKED, "a certified stacked maximal planar graph"),
+    ]:
+        report = find_zero_sum_spanning_tree(g, host_class)
+        assert report.certificate.startswith(f"host class not certified: host is not {name}; ")
+        assert report.found and abs(report.weight) <= 1
+        assert is_spanning_tree(report.subgraph)
+    with pytest.raises(DomainError, match="unsupported host class"):
+        find_zero_sum_spanning_tree(g, object())
+
+
+def _found_exactly_when_a_light_tree_exists(n, host_edges, host_class, certificate=None):
+    """Run the tree finder on every colouring of the host; found must equal
+    the existence of a spanning tree with |weight| <= 1 among all of the
+    host's enumerated trees.  Returns the certificates seen."""
+    host = ColoredGraph(n, [(u, v, 1) for u, v in host_edges], certificate=certificate)
+    eidx = {e: i for i, e in enumerate(host.edges)}
+    trees = [sum(1 << eidx[e] for e in t) for t in SpanningTrees(host).edge_sets()]
+    light = ((n - 1) // 2, n // 2)
+    certificates = set()
+    for mask in range(1 << len(host.edges)):
+        rows = [(u, v, -1 if (mask >> i) & 1 else 1) for i, (u, v) in enumerate(host.edges)]
+        g = ColoredGraph(n, rows, certificate=certificate)
+        report = find_zero_sum_spanning_tree(g, host_class)
+        exists = any((t & mask).bit_count() in light for t in trees)
+        assert report.found == exists, mask
+        if report.found:
+            assert is_spanning_tree(report.subgraph) and abs(report.weight) <= 1
+        certificates.add(report.certificate.split(";")[0])
+    return certificates
+
+
+def _planar6():
+    edges, cert = _stacked_planar_host(6)
+    return 6, sorted(edges), MAXIMAL_PLANAR_STACKED, cert
+
+
+def _dtree5():
+    return 5, sorted(_lowest_dtree_edges(5, 2)), DTree(2), None
+
+
+@pytest.mark.parametrize(
+    "host, basis",
+    [
+        (_planar6, "hypothesis not met: stacked-planar guarantee needs n >= 7"),
+        (_dtree5, "hypothesis not met: 2-tree guarantee needs n >= 6"),
+    ],
+    ids=["stacked-planar-6", "2-tree-5"],
+)
+def test_tree_finder_answers_a_host_below_its_guarantee_order(host, basis):
+    # every colouring is answered, found exactly when a light tree exists,
+    # and none is certified
+    assert _found_exactly_when_a_light_tree_exists(*host()) == {basis}
 
 
 # --- spanning-path finder ---

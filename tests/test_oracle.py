@@ -18,7 +18,15 @@ from zerosum.families import (
     perfect_matching_count,
     spanning_tree_count,
 )
-from zerosum.graphs import ColoredGraph, is_spanning_tree, tree_diameter, weight
+from zerosum.graphs import (
+    ColoredGraph,
+    EdgeSubgraph,
+    binomial,
+    complete_edges,
+    is_spanning_tree,
+    tree_diameter,
+    weight,
+)
 from zerosum.oracle import EnumerationBudget, enumerate_family, exhaustive_theorem_check
 
 
@@ -205,7 +213,7 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
 def test_family_table_is_built_once_in_the_parent(monkeypatch):
     parent = os.getpid()
     calls = []
-    build = oracle._family_masks
+    build = oracle._tree_masks
 
     def parent_only(*args):
         if os.getpid() != parent:
@@ -213,7 +221,7 @@ def test_family_table_is_built_once_in_the_parent(monkeypatch):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(oracle, "_family_masks", parent_only)
+    monkeypatch.setattr(oracle, "_tree_masks", parent_only)
     shard = (8192, 16384)
     multi = exhaustive_theorem_check("tree", 6, jobs=2, shard=shard)
     assert len(calls) == 1
@@ -287,6 +295,164 @@ def test_connected_scan_checks_the_finder_path_itself(monkeypatch, fake):
     assert report.hypothesis_met > 0 and report.confirmed == 0
     assert len(report.counterexamples) == report.hypothesis_met
     assert all(ce["reason"].startswith("finder failed: ") for ce in report.counterexamples)
+
+
+def _old_tree_route(n, lo, hi):
+    """hypothesis_met, confirmed and counterexample masks of a tree scan
+    that runs the finder on a graph built for every met colouring."""
+    met = oracle._census_met("tree", n)
+    edges = complete_edges(n)
+    hypothesis_met = confirmed = 0
+    failed = []
+    for mask in range(lo, hi):
+        if not met[mask.bit_count()]:
+            continue
+        hypothesis_met += 1
+        rep = finders.find_zero_sum_spanning_tree(oracle._graph_from_mask(n, edges, mask))
+        if rep.found and abs(rep.weight) <= 1:
+            confirmed += 1
+        else:
+            failed.append(mask)
+    return hypothesis_met, confirmed, failed
+
+
+@pytest.mark.parametrize(
+    "n, shard", [(3, None), (4, None), (5, None), (6, (3 << 13, 4 << 13))]
+)
+def test_tree_scan_matches_the_finder_on_graphs(n, shard):
+    lo, hi = shard or (0, 1 << binomial(n, 2))
+    report = exhaustive_theorem_check("tree", n, shard=(lo, hi))
+    found = (report.hypothesis_met, report.confirmed, [ce["mask"] for ce in report.counterexamples])
+    assert found == _old_tree_route(n, lo, hi)
+    assert report.hypothesis_met > 0
+
+
+def test_tree_scan_builds_no_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("graph built from a mask in the tree scan")
+
+    monkeypatch.setattr(oracle, "_graph_from_mask", refuse)
+    report = exhaustive_theorem_check("tree", 6)
+    assert report.passed and report.hypothesis_met == report.confirmed > 0
+
+
+def test_tree_table_holds_every_spanning_tree_once():
+    for n in range(2, 7):
+        g = ColoredGraph.complete(n)
+        eidx = {e: i for i, e in enumerate(g.edges)}
+        masks = oracle._tree_masks(n)
+        assert masks == sorted(oracle._mask_of(t, eidx) for t in SpanningTrees(g).edge_sets())
+        assert len(set(masks)) == n ** (n - 2)
+
+
+_seed = finders._tree_seed
+
+
+def _tree_path(tree, a, b):
+    """The edges of the a..b path in a tree given as an edge list."""
+    adj = {}
+    for u, v in tree:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    back = {a: None}
+    stack = [a]
+    while stack:
+        u = stack.pop()
+        for v in adj.get(u, ()):
+            if v not in back:
+                back[v] = u
+                stack.append(v)
+    path = set()
+    while back[b] is not None:
+        path.add((min(b, back[b]), max(b, back[b])))
+        b = back[b]
+    return path
+
+
+def test_tree_scan_refuses_a_seed_that_is_not_a_tree(monkeypatch):
+    # the fake swaps an edge e off the seed in for a seed edge f of e's
+    # sign that is not on the cycle e closes: the signs, and so the -1
+    # count and the weight, are the seed's, but the edges hold a cycle
+    sabotaged = []
+
+    def cycle_with_the_seed_signs(n, class_edges, host_edges, k):
+        in_class = list(class_edges)
+        tree = _seed(n, iter(in_class), host_edges, k)
+        in_class = set(in_class)
+        for e in host_edges:
+            if e in tree:
+                continue
+            cycle = _tree_path(tree, *e)
+            for f in tree:
+                if f not in cycle and (f in in_class) == (e in in_class):
+                    sabotaged.append(True)
+                    return [x for x in tree if x != f] + [e]
+        sabotaged.append(False)
+        return tree
+
+    monkeypatch.setattr(finders, "_tree_seed", cycle_with_the_seed_signs)
+    met = oracle._census_met("tree", 6)
+    refused = 0
+    for mask in range(0, 1 << 15, 97):
+        if not met[mask.bit_count()]:
+            continue
+        sabotaged.clear()
+        report = exhaustive_theorem_check("tree", 6, shard=(mask, mask + 1))
+        assert report.hypothesis_met == 1
+        if any(sabotaged):
+            assert report.confirmed == 0
+            (ce,) = report.counterexamples
+            assert ce["mask"] == mask and ce["reason"].startswith("finder failed: seed ")
+            refused += 1
+        else:
+            assert report.passed and report.confirmed == 1
+    assert refused > 100
+
+
+def test_tree_scan_interpolation_agrees_with_the_finder(monkeypatch):
+    # seeds through the whole maximal forest of their class are a lightest
+    # and a heaviest tree; where neither weighs |w| <= 1 they straddle zero,
+    # and the scan hands the colouring to the finder to interpolate
+    def extreme_seed(n, class_edges, host_edges, k):
+        return _seed(n, class_edges, host_edges, n - 1)
+
+    monkeypatch.setattr(finders, "_tree_seed", extreme_seed)
+    finder = finders.find_zero_sum_spanning_tree
+    handed = []
+
+    def recording_finder(g, *args):
+        handed.append((g, finder(g, *args)))
+        return handed[-1][1]
+
+    monkeypatch.setattr(finders, "find_zero_sum_spanning_tree", recording_finder)
+    report = exhaustive_theorem_check("tree", 6, shard=(5 << 12, 6 << 12))
+    assert report.passed and report.confirmed == report.hypothesis_met
+    assert len(handed) > 100
+    for g, rep in handed:
+        assert rep == finder(g)
+        assert rep.found and rep.certificate.endswith("; interpolated")
+        assert rep.chain_replacements > 0 and is_spanning_tree(rep.subgraph)
+
+
+def test_tree_scan_checks_the_interpolated_tree_itself(monkeypatch):
+    # the finder's interpolated report is checked like a seed: a cycle
+    # through all vertices but the last is refused, light or not
+    def extreme_seed(n, class_edges, host_edges, k):
+        return _seed(n, class_edges, host_edges, n - 1)
+
+    light = []
+
+    def cycle(g, *args):
+        edges = frozenset((v, v + 1) for v in range(g.n - 2)) | {(0, g.n - 2)}
+        sub = EdgeSubgraph._unchecked(g, edges)
+        light.append(abs(weight(sub)) <= 1)
+        return finders.FindReport(True, sub, weight(sub), "fake; interpolated", 1)
+
+    monkeypatch.setattr(finders, "_tree_seed", extreme_seed)
+    monkeypatch.setattr(finders, "find_zero_sum_spanning_tree", cycle)
+    report = exhaustive_theorem_check("tree", 6, shard=(5 << 12, 6 << 12))
+    assert report.hypothesis_met - report.confirmed == len(light) > sum(light) > 0
+    assert all(ce["reason"] == "finder failed: fake; interpolated" for ce in report.counterexamples)
 
 
 def test_enumeration_streams_are_lazy_after_budget_check():
