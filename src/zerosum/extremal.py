@@ -397,9 +397,9 @@ class _ConnectivityWitness:
         if finders.find_zero_sum_path_leq4(g, 0, 1).found:
             return False
         # independent scan over the same path space
-        eidx = {e: i for i, e in enumerate(g.edges)}
-        mask = sum(1 << eidx[e] for e, c in g.sign.items() if c == -1)
-        masks2, masks4 = oracle._short_path_masks(g.n, eidx, 0, 1)
+        bit = oracle._edge_bits(g.n)
+        mask = sum(bit[u][v] for (u, v), c in g.sign.items() if c == -1)
+        masks2, masks4 = oracle._short_path_masks(g.n, bit, 0, 1)
         return not any((p & mask).bit_count() == 1 for p in masks2) and not any(
             (p & mask).bit_count() == 2 for p in masks4
         )

@@ -569,30 +569,49 @@ def _generic_tree_edge_sets(g: ColoredGraph) -> Iterator[frozenset]:
     yield from rec(0, list(range(n)), [])
 
 
+def _hampaths(n: int, table) -> Iterator[list]:
+    """Every Hamiltonian path of K_n, n >= 1, once, as the list of its
+    edges uv as table[u][v] of a symmetric table, in lexicographic order of
+    the vertex sequences that start at their lower end."""
+    for perm in itertools.permutations(range(n)):
+        if perm[0] > perm[-1]:
+            continue
+        yield [table[a][b] for a, b in zip(perm, perm[1:])]
+
+
 def _hampath_edge_sets(n: int) -> Iterator[frozenset]:
     if n <= 1:
         yield frozenset()
         return
-    for perm in itertools.permutations(range(n)):
-        if perm[0] > perm[-1]:
-            continue
-        yield frozenset(canonical_edge(a, b) for a, b in zip(perm, perm[1:]))
+    for edges in _hampaths(n, _edge_table(n)):
+        yield frozenset(edges)
 
 
-def _diam3_edge_sets(n: int) -> Iterator[frozenset]:
-    if n <= 2:
-        yield from _complete_tree_edge_sets(n)
+def _diam3_trees(n: int, table) -> Iterator[list]:
+    """Every spanning tree of K_n of diameter <= 3, n >= 2, once, as the
+    list of its edges uv as table[u][v] of a symmetric table: the n stars,
+    then for each u < v the double stars on uv, every other vertex hung on
+    u or on v (neither side empty)."""
+    if n == 2:
+        yield [table[0][1]]
         return
     for c in range(n):
-        yield frozenset(canonical_edge(c, x) for x in range(n) if x != c)
+        yield [table[c][x] for x in range(n) if x != c]
     for u in range(n):
         for v in range(u + 1, n):
             rest = [x for x in range(n) if x not in (u, v)]
             for pick in range(1, (1 << len(rest)) - 1):
-                edges = {canonical_edge(u, v)}
-                for i, x in enumerate(rest):
-                    edges.add(canonical_edge(u, x) if (pick >> i) & 1 else canonical_edge(v, x))
-                yield frozenset(edges)
+                yield [table[u][v]] + [
+                    table[u][x] if (pick >> i) & 1 else table[v][x] for i, x in enumerate(rest)
+                ]
+
+
+def _diam3_edge_sets(n: int) -> Iterator[frozenset]:
+    if n <= 1:
+        yield frozenset()
+        return
+    for edges in _diam3_trees(n, _edge_table(n)):
+        yield frozenset(edges)
 
 
 def _matching_edge_sets(n: int) -> Iterator[frozenset]:

@@ -2,10 +2,11 @@
 
 Enumerates whole families (spanning trees, Hamiltonian paths,
 diameter-3 trees, perfect matchings) and iterates entire colouring
-spaces as sign bitmasks over the canonical edge order, confirming for
-every colouring that meets a guarantee's hypothesis that (a) the
-constructive finder succeeds and (b) an independently enumerated family
-member of the promised weight exists.
+spaces as sign bitmasks over the canonical edge order.  For every
+colouring that meets a guarantee's hypothesis, every candidate the
+constructive finder hands over is checked against the oracle's own table
+of the family's members, and its weight against the colouring; the table
+is searched for a light member only to word a refusal.
 
 Enumerations refuse instead of sampling when a budget would be
 exceeded.  Colouring ranges shard cleanly: shards share nothing and
@@ -18,6 +19,7 @@ import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 from typing import Iterator, Optional, Union
 
@@ -31,9 +33,11 @@ from .families import (
     HamiltonianPaths,
     PerfectMatchings,
     SpanningTrees,
+    _diam3_trees,
+    _hampaths,
     _prufer_trees,
 )
-from .graphs import ColoredGraph, EdgeSubgraph, binomial, canonical_edge, complete_edges
+from .graphs import ColoredGraph, EdgeSubgraph, binomial, complete_edges
 from .thresholds import GUARANTEES, decomposition_bound
 
 
@@ -88,15 +92,6 @@ def enumerate_family(
 
 THEOREMS = ("tree", "connected", "diam3", "path-census", "path-decomposition")
 
-# family theorem -> (family whose members the scan looks for, the name of
-# its finder, looked up on finders when a scan starts)
-_FAMILY_THEOREMS = {
-    "tree": (SpanningTrees, "find_zero_sum_spanning_tree"),
-    "diam3": (Diam3Trees, "find_zero_sum_diam3_tree"),
-    "path-census": (HamiltonianPaths, "find_zero_sum_spanning_path"),
-    "path-decomposition": (HamiltonianPaths, "find_zero_sum_spanning_path"),
-}
-
 
 @dataclass
 class TheoremReport:
@@ -124,17 +119,6 @@ def _graph_from_mask(n: int, edges: tuple, mask: int) -> ColoredGraph:
     return ColoredGraph._unchecked(n, edges, sign)
 
 
-def _mask_of(edge_set, eidx) -> int:
-    mask = 0
-    for e in edge_set:
-        mask |= 1 << eidx[e]
-    return mask
-
-
-def _family_masks(family, eidx) -> list[int]:
-    return [_mask_of(s, eidx) for s in family.edge_sets()]
-
-
 def _edge_bits(n: int) -> list[list[int]]:
     """bit[u][v] = bit[v][u] = the bit of edge uv in a colouring mask of K_n."""
     bit = [[0] * n for _ in range(n)]
@@ -143,11 +127,11 @@ def _edge_bits(n: int) -> list[list[int]]:
     return bit
 
 
-def _tree_masks(n: int) -> list[int]:
-    """The masks of all n^(n-2) spanning trees of K_n, n >= 2, decoded from
-    their Pruefer sequences straight to edge bits; sorted, so that the tree
-    scan tests membership by bisection."""
-    return sorted(sum(bits) for bits in _prufer_trees(n, _edge_bits(n)))
+def _member_masks(n: int, members) -> list[int]:
+    """The masks of all members of a family of K_n, n >= 2, members(n,
+    table) yielding each one's edges uv as table[u][v] of the edge-bit
+    table; sorted, so that the family scan tests membership by bisection."""
+    return sorted(sum(bits) for bits in members(n, _edge_bits(n)))
 
 
 def _census_met(theorem: str, n: int) -> list[bool]:
@@ -172,27 +156,23 @@ def _theorem_table(theorem: str, n: int, budget: EnumerationBudget) -> tuple:
     call; a table larger than its budget field is refused before it is
     built."""
     met = _census_met(theorem, n)
-    eidx = {e: i for i, e in enumerate(complete_edges(n))}
     if theorem == "connected":
         _require_path_masks(n, binomial(n, 2), budget)
+        bit = _edge_bits(n)
         full = (1 << n) - 1
         return met, [
-            (x, y, full ^ (1 << x) ^ (1 << y), _short_path_masks(n, eidx, x, y)[1])
+            (x, y, full ^ (1 << x) ^ (1 << y), _short_path_masks(n, bit, x, y)[1])
             for x in range(n)
             for y in range(x + 1, n)
         ]
-    family = _FAMILY_THEOREMS[theorem][0](ColoredGraph.complete(n))
-    _require_budget(family, budget)
-    if theorem == "tree":
-        return met, _tree_masks(n)
-    return met, _family_masks(family, eidx)
+    kind, members, _ = _FAMILY_THEOREMS[theorem]
+    _require_budget(kind(ColoredGraph.complete(n)), budget)
+    return met, _member_masks(n, members)
 
 
 def _check_range(theorem: str, n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
     if theorem == "connected":
         return _connected_core(n, lo, hi, table)
-    if theorem == "tree":
-        return _tree_core(n, lo, hi, table)
     return _family_core(theorem, n, lo, hi, table)
 
 
@@ -211,96 +191,98 @@ def _check_chunk(bounds) -> TheoremReport:
     return _check_range(theorem, n, lo, hi, _worker_table)
 
 
-def _family_core(theorem: str, n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
-    met, masks = table
-    edges = complete_edges(n)
-    # -1 edge counts of an n-1 edge member of weight 0 or +-1
-    t1, t2 = (n - 1) // 2, n // 2
-    finder = getattr(finders, _FAMILY_THEOREMS[theorem][1])
-    report = TheoremReport(theorem, n, lo, hi)
-    ces = report.counterexamples
-    nmasks = len(masks)
-    last = 0
-    for mask in range(lo, hi):
-        if not met[mask.bit_count()]:
-            continue
-        report.hypothesis_met += 1
-        cnt = (masks[last] & mask).bit_count()
-        if cnt != t1 and cnt != t2:
-            for i in range(nmasks):
-                cnt = (masks[i] & mask).bit_count()
-                if cnt == t1 or cnt == t2:
-                    last = i
-                    break
-            else:
-                ces.append({"mask": mask, "reason": "oracle found no qualifying member"})
-                continue
-        rep = finder(_graph_from_mask(n, edges, mask))
-        if rep.found and abs(rep.weight) <= 1:
-            report.confirmed += 1
-        else:
-            ces.append({"mask": mask, "reason": f"finder failed: {rep.certificate}"})
-    return report
+def _answer(finder, n: int, edges: tuple, mask: int) -> tuple:
+    """The finder's member for a colouring, run on its graph, as a
+    candidate: () when it reports none, refused with its certificate."""
+    rep = finder(_graph_from_mask(n, edges, mask))
+    return (lambda _: rep.certificate), (rep.subgraph.edges if rep.found else ())
 
 
-def _tree_core(n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
-    met, members = table
+def _answers(finder, n: int) -> tuple:
+    """The candidates of a theorem whose one candidate is its finder's
+    member."""
+    return (partial(_answer, finder, n, complete_edges(n)),)
+
+
+def _seed_refusal(tree) -> str:
+    return f"seed {sorted(tree)} is not a spanning tree"
+
+
+def _tree_candidates(n: int) -> tuple:
+    """The candidates of the tree theorem, in the order tried: the finder's
+    seeds through the colouring's -1 and then its +1 edges, read off the
+    mask bits in canonical order, then the tree the finder interpolates
+    between them (on K_3..K_7 the seeds always settle)."""
     edges = complete_edges(n)
-    bit = _edge_bits(n)
     full = (1 << len(edges)) - 1
     k = GUARANTEES["tree", "complete"].k(n)
-    # the finder's seeds, built from each colouring's edge streams read off
-    # the mask bits; every seed is checked here against the oracle's own
-    # member table, so the finder is trusted for nothing.  Only when both
-    # seeds are members and neither settles does the finder itself run, to
-    # interpolate, and its tree is checked the same way.
     seed = finders._tree_seed
-    finder = getattr(finders, _FAMILY_THEOREMS["tree"][1])
+    finder = finders.find_zero_sum_spanning_tree
+
+    def minus_seed(mask):
+        return _seed_refusal, seed(n, (e for i, e in enumerate(edges) if mask >> i & 1), edges, k)
+
+    return minus_seed, lambda mask: minus_seed(full ^ mask), partial(_answer, finder, n, edges)
+
+
+# family theorem -> (family whose members the scan checks, the generator of
+# their edge lists over a symmetric table, and a function of n giving the
+# candidates: functions of a colouring mask, each giving one of the
+# finder's members as a (refusal, edges) pair, in the order they are
+# tried, refusal(edges) the text of a refusal; finders are looked up when
+# a scan starts)
+_FAMILY_THEOREMS = {
+    "tree": (SpanningTrees, _prufer_trees, _tree_candidates),
+    "diam3": (Diam3Trees, _diam3_trees, lambda n: _answers(finders.find_zero_sum_diam3_tree, n)),
+    "path-census": (
+        HamiltonianPaths,
+        _hampaths,
+        lambda n: _answers(finders.find_zero_sum_spanning_path, n),
+    ),
+}
+_FAMILY_THEOREMS["path-decomposition"] = _FAMILY_THEOREMS["path-census"]
+
+
+def _family_core(theorem: str, n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
+    met, members = table
+    bit = _edge_bits(n)
     size = len(members)
-
-    def member(t: int) -> bool:
-        i = bisect_left(members, t)
-        return i < size and members[i] == t
-
-    report = TheoremReport("tree", n, lo, hi)
+    candidates = _FAMILY_THEOREMS[theorem][2](n)
+    report = TheoremReport(theorem, n, lo, hi)
     ces = report.counterexamples
     for mask in range(lo, hi):
         if not met[mask.bit_count()]:
             continue
         report.hypothesis_met += 1
-        reason = None
-        for cls in (mask, full ^ mask):
-            tree = seed(n, (e for i, e in enumerate(edges) if cls >> i & 1), edges, k)
+        # every candidate is checked here against the oracle's own member
+        # table, so the finder is trusted for nothing: a non-member is
+        # refused, a light member (n-1 edges, |weight| <= 1) confirms, and a
+        # heavy one passes on to the next candidate or, the last, is refused
+        for candidate in candidates:
+            why, sub = candidate(mask)
             t = 0
-            for u, v in tree:
+            for u, v in sub:
                 t |= bit[u][v]
-            if not member(t):
-                reason = f"finder failed: seed {sorted(tree)} is not a spanning tree"
+            i = bisect_left(members, t)
+            if i == size or members[i] != t:
                 break
             if abs(n - 1 - 2 * (t & mask).bit_count()) <= 1:
+                why = None
                 break
-        else:
-            rep = finder(_graph_from_mask(n, edges, mask))
-            t = 0
-            if rep.found:
-                for u, v in rep.subgraph.edges:
-                    t |= bit[u][v]
-            if not (rep.found and member(t) and abs(n - 1 - 2 * (t & mask).bit_count()) <= 1):
-                reason = f"finder failed: {rep.certificate}"
-        if reason is None:
+        if why is None:
             report.confirmed += 1
+        elif any(abs(n - 1 - 2 * (m & mask).bit_count()) <= 1 for m in members):
+            ces.append({"mask": mask, "reason": f"finder failed: {why(sub)}"})
         else:
-            ces.append({"mask": mask, "reason": reason})
+            ces.append({"mask": mask, "reason": "oracle found no qualifying member"})
     return report
 
 
-def _short_path_masks(n: int, eidx, x: int, y: int):
+def _short_path_masks(n: int, bit, x: int, y: int):
     """Masks of all x..y paths of length 2 (target one -1 edge) and
-    length 4 (target two -1 edges)."""
+    length 4 (target two -1 edges) of K_n, over the edge-bit table bit."""
     others = [u for u in range(n) if u not in (x, y)]
-    masks2 = [
-        (1 << eidx[canonical_edge(x, u)]) | (1 << eidx[canonical_edge(u, y)]) for u in others
-    ]
+    masks2 = [bit[x][u] | bit[u][y] for u in others]
     masks4 = []
     for a in others:
         for c in others:
@@ -309,13 +291,7 @@ def _short_path_masks(n: int, eidx, x: int, y: int):
             for b in others:
                 if b in (a, c):
                     continue
-                mask = (
-                    (1 << eidx[canonical_edge(x, a)])
-                    | (1 << eidx[canonical_edge(a, b)])
-                    | (1 << eidx[canonical_edge(b, c)])
-                    | (1 << eidx[canonical_edge(c, y)])
-                )
-                masks4.append(mask)
+                masks4.append(bit[x][a] | bit[a][b] | bit[b][c] | bit[c][y])
     return masks2, masks4
 
 

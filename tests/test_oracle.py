@@ -213,7 +213,7 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
 def test_family_table_is_built_once_in_the_parent(monkeypatch):
     parent = os.getpid()
     calls = []
-    build = oracle._tree_masks
+    build = oracle._member_masks
 
     def parent_only(*args):
         if os.getpid() != parent:
@@ -221,7 +221,7 @@ def test_family_table_is_built_once_in_the_parent(monkeypatch):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(oracle, "_tree_masks", parent_only)
+    monkeypatch.setattr(oracle, "_member_masks", parent_only)
     shard = (8192, 16384)
     multi = exhaustive_theorem_check("tree", 6, jobs=2, shard=shard)
     assert len(calls) == 1
@@ -297,10 +297,20 @@ def test_connected_scan_checks_the_finder_path_itself(monkeypatch, fake):
     assert all(ce["reason"].startswith("finder failed: ") for ce in report.counterexamples)
 
 
-def _old_tree_route(n, lo, hi):
-    """hypothesis_met, confirmed and counterexample masks of a tree scan
-    that runs the finder on a graph built for every met colouring."""
-    met = oracle._census_met("tree", n)
+FINDERS = {
+    "tree": "find_zero_sum_spanning_tree",
+    "diam3": "find_zero_sum_diam3_tree",
+    "path-census": "find_zero_sum_spanning_path",
+    "path-decomposition": "find_zero_sum_spanning_path",
+}
+
+
+def _finder_route(theorem, n, lo, hi):
+    """hypothesis_met, confirmed and counterexample masks of a family scan
+    that runs the theorem's finder on a graph built for every met
+    colouring and trusts its report."""
+    met = oracle._census_met(theorem, n)
+    finder = getattr(finders, FINDERS[theorem])
     edges = complete_edges(n)
     hypothesis_met = confirmed = 0
     failed = []
@@ -308,7 +318,7 @@ def _old_tree_route(n, lo, hi):
         if not met[mask.bit_count()]:
             continue
         hypothesis_met += 1
-        rep = finders.find_zero_sum_spanning_tree(oracle._graph_from_mask(n, edges, mask))
+        rep = finder(oracle._graph_from_mask(n, edges, mask))
         if rep.found and abs(rep.weight) <= 1:
             confirmed += 1
         else:
@@ -316,15 +326,78 @@ def _old_tree_route(n, lo, hi):
     return hypothesis_met, confirmed, failed
 
 
+@pytest.mark.parametrize("theorem", list(FINDERS))
 @pytest.mark.parametrize(
     "n, shard", [(3, None), (4, None), (5, None), (6, (3 << 13, 4 << 13))]
 )
-def test_tree_scan_matches_the_finder_on_graphs(n, shard):
+def test_family_scan_matches_the_finder_on_graphs(theorem, n, shard):
     lo, hi = shard or (0, 1 << binomial(n, 2))
-    report = exhaustive_theorem_check("tree", n, shard=(lo, hi))
+    report = exhaustive_theorem_check(theorem, n, shard=(lo, hi))
     found = (report.hypothesis_met, report.confirmed, [ce["mask"] for ce in report.counterexamples])
-    assert found == _old_tree_route(n, lo, hi)
+    assert found == _finder_route(theorem, n, lo, hi)
     assert report.hypothesis_met > 0
+
+
+def _light_member(kind, mask):
+    """Whether a member of kind on K_n has |weight| <= 1 on the colouring."""
+    g = complete_from_mask(kind.host.n, mask)
+    return any(abs(weight(EdgeSubgraph._unchecked(g, s))) <= 1 for s in kind.edge_sets())
+
+
+@pytest.mark.parametrize("theorem", list(FINDERS))
+@pytest.mark.parametrize("n", [4, 5])
+def test_family_scan_words_a_colouring_with_no_light_member(monkeypatch, theorem, n):
+    # with every census layer marked met, the colourings with no light
+    # member are exactly the counterexamples, each refused in the oracle's
+    # own words rather than the finder's
+    monkeypatch.setattr(oracle, "_census_met", lambda theorem, n: [True] * (binomial(n, 2) + 1))
+    report = exhaustive_theorem_check(theorem, n)
+    kind = oracle._FAMILY_THEOREMS[theorem][0](ColoredGraph.complete(n))
+    none = [mask for mask in range(1 << binomial(n, 2)) if not _light_member(kind, mask)]
+    assert none and report.hypothesis_met == 1 << binomial(n, 2)
+    assert [ce["mask"] for ce in report.counterexamples] == none
+    assert all(ce["reason"] == "oracle found no qualifying member" for ce in report.counterexamples)
+
+
+def _hampath_of(g):
+    return frozenset((v, v + 1) for v in range(g.n - 1))
+
+
+def _star_of(g):
+    return frozenset((0, v) for v in range(1, g.n))
+
+
+def _heaviest_member(kind):
+    def fake(g):
+        member = max(enumerate_family(g, kind(g)), key=lambda m: abs(weight(m)))
+        assert abs(weight(member)) > 1
+        return member.edges
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "theorem, fake",
+    [
+        ("diam3", _hampath_of),
+        ("diam3", _heaviest_member(Diam3Trees)),
+        ("path-census", _star_of),
+        ("path-census", _heaviest_member(HamiltonianPaths)),
+    ],
+    ids=["diam3-hamiltonian-path", "diam3-heavy-member", "path-star", "path-heavy-member"],
+)
+def test_family_scan_checks_the_finder_member_itself(monkeypatch, theorem, fake):
+    # each fake reports a zero-weight member it has not got: a subgraph
+    # outside the family, or a member that is not light; every met
+    # colouring of the shard must be refused by the oracle's own check
+    def lying_finder(g):
+        return finders.FindReport(True, EdgeSubgraph._unchecked(g, fake(g)), 0, "fake", 0)
+
+    monkeypatch.setattr(finders, FINDERS[theorem], lying_finder)
+    report = exhaustive_theorem_check(theorem, 6, shard=(12345, 12345 + 64))
+    assert report.hypothesis_met > 0 and report.confirmed == 0
+    assert len(report.counterexamples) == report.hypothesis_met
+    assert all(ce["reason"] == "finder failed: fake" for ce in report.counterexamples)
 
 
 def test_tree_scan_builds_no_graph(monkeypatch):
@@ -336,13 +409,18 @@ def test_tree_scan_builds_no_graph(monkeypatch):
     assert report.passed and report.hypothesis_met == report.confirmed > 0
 
 
-def test_tree_table_holds_every_spanning_tree_once():
-    for n in range(2, 7):
-        g = ColoredGraph.complete(n)
-        eidx = {e: i for i, e in enumerate(g.edges)}
-        masks = oracle._tree_masks(n)
-        assert masks == sorted(oracle._mask_of(t, eidx) for t in SpanningTrees(g).edge_sets())
-        assert len(set(masks)) == n ** (n - 2)
+@pytest.mark.parametrize(
+    "theorem, n",
+    [("tree", n) for n in range(2, 7)]
+    + [(theorem, n) for theorem in ("diam3", "path-census") for n in range(3, 8)],
+)
+def test_member_table_holds_every_member_once(theorem, n):
+    g = ColoredGraph.complete(n)
+    kind = oracle._FAMILY_THEOREMS[theorem][0](g)
+    index = {e: i for i, e in enumerate(complete_edges(n))}
+    masks = oracle._member_masks(n, oracle._FAMILY_THEOREMS[theorem][1])
+    assert masks == sorted(sum(1 << index[e] for e in m.edges) for m in enumerate_family(g, kind))
+    assert len(set(masks)) == kind.count()
 
 
 _seed = finders._tree_seed
