@@ -5,7 +5,7 @@ Turan witness, emitted with all edges -1 since that is the colour class
 it models) sitting exactly at a guarantee's threshold while the promised
 subgraph does not exist.  verify_extremal replays the claimed
 non-existence property exhaustively and never guesses: instances too
-large for the applicable budget raise BudgetExceeded.
+large for the applicable budget are refused with BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from . import finders, oracle
-from .errors import BudgetExceeded, DomainError
+from .errors import DomainError
 from .families import HamiltonianPaths, PerfectMatchings, SpanningTrees, spanning_tree_count
 from .graphs import (
     ColoredGraph,
@@ -55,7 +55,8 @@ def _find_linear_forest(
     Refuses with BudgetExceeded once the search has visited more than the
     budget's max_paths nodes (partial forests), rather than run on.
     """
-    limit = (budget or oracle.DEFAULT_BUDGET).max_paths
+    budget = budget or oracle.DEFAULT_BUDGET
+    limit = budget.max_paths
     if k == 0:
         return frozenset()
     pool = [e for e in g.edges if g.sign[e] == sign]
@@ -75,10 +76,7 @@ def _find_linear_forest(
         nonlocal nodes
         nodes += 1
         if nodes > limit:
-            raise BudgetExceeded(
-                f"linear-forest search on {g.n} vertices passed {limit:,} search nodes; "
-                f"requires max_paths > {limit:,}"
-            )
+            budget.require("max_paths", nodes, f"linear-forest search nodes on {g.n} vertices")
         if len(chosen) == k:
             return True
         if len(pool) - start < k - len(chosen):
@@ -396,7 +394,11 @@ class _ConnectivityWitness:
         oracle._require_path_masks(g.n, 1, budget)
         if finders.find_zero_sum_path_leq4(g, 0, 1).found:
             return False
-        # independent scan over the same path space
+        # independent scan over the same path space; the length-4 masks
+        # hold only x-a-b-c-y with a < c, which is enough because they
+        # decide only when no length-2 path is zero-sum: then every other
+        # vertex sees 0 and 1 with one sign, and a path and its mirror
+        # carry equally many -1 edges
         bit = oracle._edge_bits(g.n)
         mask = sum(bit[u][v] for (u, v), c in g.sign.items() if c == -1)
         masks2, masks4 = oracle._short_path_masks(g.n, bit, 0, 1)

@@ -8,24 +8,29 @@ inside the family; walking such a chain moves the signed weight in steps
 of 0 or +-2, which is what makes weight interpolation work.
 
 Each family is an object bound to its host that carries its membership
-test, its chain walk, its closed-form member count, a generator of its
-members' edge sets, the EnumerationBudget field that caps that
+test, its chain walk, the EnumerationBudget field that caps its
 enumeration and the name of its census guarantee on K_n in
-thresholds.GUARANTEES.  Perfect matchings are an enumeration-only kind with the
-same interface minus the chain: copies of a perfect matching in K_{4n}
-are not connected under single edge replacements, so no chain
-construction exists for them.
+thresholds.GUARANTEES.  Its facts about K_n live on the class, in one
+place: members(n, table), the generator of its members of K_n over a
+symmetric edge table, and complete_count(n), their closed-form number.
+count() and edge_sets() are read off those two (spanning trees of a host
+that is not complete have their own); the oracle builds its member tables
+and checks its budgets from the same two.  Perfect matchings are an
+enumeration-only kind with the same interface minus the chain: copies of
+a perfect matching in K_{4n} are not connected under single edge
+replacements, so no chain construction exists for them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Union
 
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 from .graphs import (
     ColoredGraph,
     EdgeSubgraph,
@@ -306,7 +311,7 @@ def diam3_exchange_chain(t_from: EdgeSubgraph, t_to: EdgeSubgraph) -> ExchangeCh
     return chain
 
 
-# --- family objects ---------------------------------------------------------
+# --- enumeration budget -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -324,121 +329,38 @@ class EnumerationBudget:
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
 
+    def require(self, field: str, count: int, what: str) -> None:
+        """Refuse with BudgetExceeded, stating the required budget, when
+        count (of what) exceeds the named field; every refusal is raised
+        here.  A count too long for str() is stated by its size instead,
+        so it is never converted."""
+        limit = getattr(self, field)
+        if count <= limit:
+            return
+        max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if max_digits and math.log10(count) >= max_digits - 1:
+            stated = f"about 10^{math.log10(count):,.0f}"
+        else:
+            stated = f"{count:,}"
+        raise BudgetExceeded(f"{stated} {what}; requires {field} >= {stated} (budget is {limit:,})")
+
 
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-@dataclass(frozen=True)
-class SpanningTrees:
-    host: ColoredGraph
-    guarantee: ClassVar[str] = "tree"
-    budget_field: ClassVar[str] = "max_spanning_trees"
-
-    def __post_init__(self):
-        if not self.host.is_connected():
-            raise DomainError("spanning-tree family requires a connected host")
-
-    def is_member(self, h: EdgeSubgraph) -> bool:
-        return is_spanning_tree(h)
-
-    chain = staticmethod(_tree_chain)
-
-    def count(self) -> int:
-        return spanning_tree_count(self.host)
-
-    def edge_sets(self) -> Iterator[frozenset]:
-        if self.host.is_complete:
-            return _complete_tree_edge_sets(self.host.n)
-        return _generic_tree_edge_sets(self.host)
-
-
-@dataclass(frozen=True)
-class HamiltonianPaths:
-    host: ColoredGraph
-    guarantee: ClassVar[str] = "path-census"
-    budget_field: ClassVar[str] = "max_paths"
-
-    def __post_init__(self):
-        if not self.host.is_complete:
-            raise DomainError("Hamiltonian-path family requires a complete host")
-
-    def is_member(self, h: EdgeSubgraph) -> bool:
-        return is_hamiltonian_path(h)
-
-    chain = staticmethod(_hampath_chain)
-
-    def count(self) -> int:
-        return hamiltonian_path_count(self.host.n)
-
-    def edge_sets(self) -> Iterator[frozenset]:
-        return _hampath_edge_sets(self.host.n)
-
-
-@dataclass(frozen=True)
-class Diam3Trees:
-    host: ColoredGraph
-    guarantee: ClassVar[str] = "diam3"
-    budget_field: ClassVar[str] = "max_spanning_trees"
-
-    def __post_init__(self):
-        if not self.host.is_complete:
-            raise DomainError("diameter-3 tree family requires a complete host")
-
-    def is_member(self, h: EdgeSubgraph) -> bool:
-        return is_diam3_tree(h)
-
-    chain = staticmethod(_diam3_chain)
-
-    def count(self) -> int:
-        return diam3_tree_count(self.host.n)
-
-    def edge_sets(self) -> Iterator[frozenset]:
-        return _diam3_edge_sets(self.host.n)
-
-
-@dataclass(frozen=True)
-class PerfectMatchings:
-    """Enumeration-only kind for perfect matchings of a complete host.
-
-    Not a FamilyKind: matchings are not connected under single edge
-    replacements, so no exchange chain exists for them.
-    """
-
-    host: ColoredGraph
-    budget_field: ClassVar[str] = "max_matchings"
-
-    def __post_init__(self):
-        if not self.host.is_complete or self.host.n % 2 != 0:
-            raise DomainError("perfect matchings need a complete host of even order")
-
-    def is_member(self, h: EdgeSubgraph) -> bool:
-        return is_matching(h) and len(h.edges) == self.host.n // 2
-
-    def count(self) -> int:
-        return perfect_matching_count(self.host.n)
-
-    def edge_sets(self) -> Iterator[frozenset]:
-        return _matching_edge_sets(self.host.n)
-
-
-FamilyKind = Union[SpanningTrees, HamiltonianPaths, Diam3Trees]
-
-
-def member_of(kind: FamilyKind, h: EdgeSubgraph) -> bool:
-    return (h.host is kind.host or h.host == kind.host) and kind.is_member(h)
-
-
 # --- closed-form counts --------------------------------------------------------
+
+
+def complete_tree_count(n: int) -> int:
+    return 1 if n <= 1 else n ** (n - 2)
 
 
 def spanning_tree_count(g: ColoredGraph) -> int:
     """Number of spanning trees: n^(n-2) for K_n, else an integer
     Laplacian-minor determinant (fraction-free elimination)."""
     n = g.n
-    if n <= 1:
-        return 1
-    if g.is_complete:
-        return n ** (n - 2)
+    if n <= 1 or g.is_complete:
+        return complete_tree_count(n)
     if not g.is_connected():
         return 0
     size = n - 1
@@ -521,14 +443,6 @@ def _prufer_trees(n: int, table) -> Iterator[list]:
         yield _prufer_edges(seq, n, table)
 
 
-def _complete_tree_edge_sets(n: int) -> Iterator[frozenset]:
-    if n <= 1:
-        yield frozenset()
-        return
-    for edges in _prufer_trees(n, _edge_table(n)):
-        yield frozenset(edges)
-
-
 def _generic_tree_edge_sets(g: ColoredGraph) -> Iterator[frozenset]:
     """Spanning trees of an arbitrary connected host, each exactly once:
     include/exclude recursion over canonical edge order with a
@@ -579,14 +493,6 @@ def _hampaths(n: int, table) -> Iterator[list]:
         yield [table[a][b] for a, b in zip(perm, perm[1:])]
 
 
-def _hampath_edge_sets(n: int) -> Iterator[frozenset]:
-    if n <= 1:
-        yield frozenset()
-        return
-    for edges in _hampaths(n, _edge_table(n)):
-        yield frozenset(edges)
-
-
 def _diam3_trees(n: int, table) -> Iterator[list]:
     """Every spanning tree of K_n of diameter <= 3, n >= 2, once, as the
     list of its edges uv as table[u][v] of a symmetric table: the n stars,
@@ -606,27 +512,124 @@ def _diam3_trees(n: int, table) -> Iterator[list]:
                 ]
 
 
-def _diam3_edge_sets(n: int) -> Iterator[frozenset]:
-    if n <= 1:
-        yield frozenset()
-        return
-    for edges in _diam3_trees(n, _edge_table(n)):
-        yield frozenset(edges)
-
-
-def _matching_edge_sets(n: int) -> Iterator[frozenset]:
-    verts = list(range(n))
+def _matchings(n: int, table) -> Iterator[list]:
+    """Every perfect matching of K_n, n even, once, as the list of its
+    edges uv as table[u][v] of a symmetric table: the lowest unmatched
+    vertex is paired with each higher one in turn."""
 
     def rec(pool, acc):
         if not pool:
-            yield frozenset(acc)
+            yield acc
             return
         u = pool[0]
         for i in range(1, len(pool)):
-            v = pool[i]
-            yield from rec(pool[1:i] + pool[i + 1 :], acc + [(u, v)])
+            yield from rec(pool[1:i] + pool[i + 1 :], acc + [table[u][pool[i]]])
 
-    yield from rec(verts, [])
+    return rec(list(range(n)), [])
+
+
+# --- family objects ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A family bound to its host.  Each family sets members(n, table), the
+    generator of its members of K_n, n >= 2, as lists of edges uv given as
+    table[u][v] of a symmetric table, and complete_count(n), their number."""
+
+    host: ColoredGraph
+
+    def count(self) -> int:
+        return self.complete_count(self.host.n)
+
+    def edge_sets(self) -> Iterator[frozenset]:
+        n = self.host.n
+        if n <= 1:
+            return iter((frozenset(),))
+        return map(frozenset, self.members(n, _edge_table(n)))
+
+
+@dataclass(frozen=True)
+class SpanningTrees(_Family):
+    guarantee: ClassVar[str] = "tree"
+    budget_field: ClassVar[str] = "max_spanning_trees"
+    members = staticmethod(_prufer_trees)
+    complete_count = staticmethod(complete_tree_count)
+    chain = staticmethod(_tree_chain)
+
+    def __post_init__(self):
+        if not self.host.is_connected():
+            raise DomainError("spanning-tree family requires a connected host")
+
+    def is_member(self, h: EdgeSubgraph) -> bool:
+        return is_spanning_tree(h)
+
+    def count(self) -> int:
+        return spanning_tree_count(self.host)
+
+    def edge_sets(self) -> Iterator[frozenset]:
+        if self.host.is_complete:
+            return super().edge_sets()
+        return _generic_tree_edge_sets(self.host)
+
+
+@dataclass(frozen=True)
+class HamiltonianPaths(_Family):
+    guarantee: ClassVar[str] = "path-census"
+    budget_field: ClassVar[str] = "max_paths"
+    members = staticmethod(_hampaths)
+    complete_count = staticmethod(hamiltonian_path_count)
+    chain = staticmethod(_hampath_chain)
+
+    def __post_init__(self):
+        if not self.host.is_complete:
+            raise DomainError("Hamiltonian-path family requires a complete host")
+
+    def is_member(self, h: EdgeSubgraph) -> bool:
+        return is_hamiltonian_path(h)
+
+
+@dataclass(frozen=True)
+class Diam3Trees(_Family):
+    guarantee: ClassVar[str] = "diam3"
+    budget_field: ClassVar[str] = "max_spanning_trees"
+    members = staticmethod(_diam3_trees)
+    complete_count = staticmethod(diam3_tree_count)
+    chain = staticmethod(_diam3_chain)
+
+    def __post_init__(self):
+        if not self.host.is_complete:
+            raise DomainError("diameter-3 tree family requires a complete host")
+
+    def is_member(self, h: EdgeSubgraph) -> bool:
+        return is_diam3_tree(h)
+
+
+@dataclass(frozen=True)
+class PerfectMatchings(_Family):
+    """Enumeration-only kind for perfect matchings of a complete host.
+
+    Not a FamilyKind: matchings are not connected under single edge
+    replacements, so no exchange chain exists for them.
+    """
+
+    budget_field: ClassVar[str] = "max_matchings"
+    members = staticmethod(_matchings)
+    complete_count = staticmethod(perfect_matching_count)
+
+    def __post_init__(self):
+        if not self.host.is_complete or self.host.n % 2 != 0:
+            raise DomainError("perfect matchings need a complete host of even order")
+
+    def is_member(self, h: EdgeSubgraph) -> bool:
+        return is_matching(h) and len(h.edges) == self.host.n // 2
+
+
+FamilyKind = Union[SpanningTrees, HamiltonianPaths, Diam3Trees]
+
+
+def member_of(kind: FamilyKind, h: EdgeSubgraph) -> bool:
+    return (h.host is kind.host or h.host == kind.host) and kind.is_member(h)
 
 
 # --- interpolation ------------------------------------------------------------

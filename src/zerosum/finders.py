@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .decompositions import hamilton_cycle_decomposition, hamilton_path_decomposition
-from .errors import BudgetExceeded, DomainError
+from .errors import DomainError
 from .families import (
     DEFAULT_BUDGET,
     EnumerationBudget,
@@ -221,7 +221,11 @@ def find_zero_sum_spanning_path(g: ColoredGraph) -> FindReport:
     part sits strictly on one side, falls back to the census route:
     half-sized monochromatic linear forests, completion, interpolation.
     Below the census threshold its certificates start with the threshold
-    text, and found=False there carries no proof that no such path exists.
+    text, and found=False there carries no proof that no such path exists:
+    from n = 11 the greedy linear forest can fall short of a class that
+    holds a half-sized one, e.g. K_11 with the -1 class {0-4, 3-7, 4-8,
+    4-9, 7-8, 7-9, 8-9} gets found=False, yet 0-4-9-8-7-3-1-2-5-6-10
+    weighs 0.
     """
     if not g.is_complete:
         raise DomainError("host must be complete")
@@ -523,7 +527,8 @@ def check_zero_sum_matching(
     n = g.n
     if n % 4 != 0 or n == 0:
         raise DomainError(f"zero-sum perfect matchings need n divisible by 4, got n={n}")
-    limit = (budget or DEFAULT_BUDGET).max_matchings
+    budget = budget or DEFAULT_BUDGET
+    limit = budget.max_matchings
     sign = g.sign
     used = [False] * n
     picked: list[tuple[int, int]] = []
@@ -533,10 +538,7 @@ def check_zero_sum_matching(
         nonlocal nodes
         nodes += 1
         if nodes > limit:
-            raise BudgetExceeded(
-                f"zero-sum matching search on K_{n} passed {limit:,} search nodes; "
-                f"requires max_matchings > {limit:,}"
-            )
+            budget.require("max_matchings", nodes, f"zero-sum matching search nodes on K_{n}")
         # remaining edges can move the weight by at most `remaining`
         if abs(current) > remaining:
             return False

@@ -462,6 +462,12 @@ def host_class_check(g: ColoredGraph, host_class) -> bool:
 # additionally understands `# stacked-base:`/`# stacked-insert:` comments so
 # that stacked-planar certificates survive a round trip through a pipe.
 
+# certificate comment -> (how many integers follow it, what they are)
+_CERTIFICATE_COMMENTS = {
+    "stacked-base": (3, "three vertices"),
+    "stacked-insert": (4, "vertex and face"),
+}
+
 
 def read_edge_list(text: str) -> ColoredGraph:
     """Parse the edge-list format; every error is a GraphFormatError naming
@@ -476,28 +482,20 @@ def read_edge_list(text: str) -> ColoredGraph:
         if not line:
             continue
         if raw.startswith("#"):
-            body = raw[1:].strip()
-            if body.startswith("stacked-base:"):
-                vals = body.split(":", 1)[1].split()
-                if len(vals) != 3:
-                    raise GraphFormatError("stacked-base needs three vertices", line_no)
+            name, colon, rest = raw[1:].strip().partition(":")
+            if colon and name in _CERTIFICATE_COMMENTS:
+                count, needs = _CERTIFICATE_COMMENTS[name]
+                vals = rest.split()
+                if len(vals) != count:
+                    raise GraphFormatError(f"{name} needs {needs}", line_no)
                 try:
-                    cert_base = tuple(int(x) for x in vals)
+                    vals = tuple(int(x) for x in vals)
                 except ValueError:
-                    raise GraphFormatError(
-                        "stacked-base values must be integers", line_no
-                    ) from None
-            elif body.startswith("stacked-insert:"):
-                vals = body.split(":", 1)[1].split()
-                if len(vals) != 4:
-                    raise GraphFormatError("stacked-insert needs vertex and face", line_no)
-                try:
-                    v, fa, fb, fc = (int(x) for x in vals)
-                except ValueError:
-                    raise GraphFormatError(
-                        "stacked-insert values must be integers", line_no
-                    ) from None
-                cert_inserts.append((v, (fa, fb, fc)))
+                    raise GraphFormatError(f"{name} values must be integers", line_no) from None
+                if name == "stacked-base":
+                    cert_base = vals
+                else:
+                    cert_inserts.append((vals[0], vals[1:]))
             continue
         parts = line.split()
         if header is None:

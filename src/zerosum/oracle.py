@@ -24,7 +24,7 @@ from multiprocessing import get_context
 from typing import Iterator, Optional, Union
 
 from . import finders
-from .errors import BudgetExceeded, DomainError
+from .errors import DomainError
 from .families import (
     DEFAULT_BUDGET,
     Diam3Trees,
@@ -33,35 +33,17 @@ from .families import (
     HamiltonianPaths,
     PerfectMatchings,
     SpanningTrees,
-    _diam3_trees,
-    _hampaths,
-    _prufer_trees,
 )
 from .graphs import ColoredGraph, EdgeSubgraph, binomial, complete_edges
 from .thresholds import GUARANTEES, decomposition_bound
 
 
-def _require_budget(kind, budget: EnumerationBudget) -> None:
-    """Refuse (BudgetExceeded, stating the required budget) when the
-    closed-form member count of kind exceeds its budget field."""
-    count = kind.count()
-    limit = getattr(budget, kind.budget_field)
-    if count > limit:
-        raise BudgetExceeded(
-            f"{count:,} members to enumerate; requires {kind.budget_field} >= {count:,} "
-            f"(budget is {limit:,})"
-        )
-
-
 def _require_path_masks(n: int, pairs: int, budget: EnumerationBudget) -> None:
     """Refuse (BudgetExceeded) when the length-4 path masks of that many
     vertex pairs of K_n, (n-2)(n-3)(n-4)/2 a pair, exceed max_paths."""
-    count = pairs * (n - 2) * (n - 3) * (n - 4) // 2
-    if count > budget.max_paths:
-        raise BudgetExceeded(
-            f"{count:,} length-4 path masks to build; requires max_paths >= {count:,} "
-            f"(budget is {budget.max_paths:,})"
-        )
+    budget.require(
+        "max_paths", pairs * (n - 2) * (n - 3) * (n - 4) // 2, "length-4 path masks to build"
+    )
 
 
 def enumerate_family(
@@ -76,7 +58,7 @@ def enumerate_family(
     """
     if not (kind.host is g or kind.host == g):
         raise DomainError("enumeration kind is bound to a different host")
-    _require_budget(kind, budget or DEFAULT_BUDGET)
+    (budget or DEFAULT_BUDGET).require(kind.budget_field, kind.count(), "members to enumerate")
 
     def generate():
         for edge_set in kind.edge_sets():
@@ -151,23 +133,22 @@ def _census_met(theorem: str, n: int) -> list[bool]:
 def _theorem_table(theorem: str, n: int, budget: EnumerationBudget) -> tuple:
     """What a theorem's scan looks up for every colouring: the met list of
     _census_met, and the masks of all family members or, for connected,
-    each vertex pair x, y with the mask of the other vertices and the masks
-    of the x..y paths of length 4.  Built once per exhaustive_theorem_check
-    call; a table larger than its budget field is refused before it is
-    built."""
-    met = _census_met(theorem, n)
+    each vertex pair x, y with the mask of the other vertices and the
+    length-4 masks of _short_path_masks.  Built once per
+    exhaustive_theorem_check call; a table larger than its budget field is
+    refused, from its closed-form size, before anything is built."""
     if theorem == "connected":
         _require_path_masks(n, binomial(n, 2), budget)
         bit = _edge_bits(n)
         full = (1 << n) - 1
-        return met, [
+        return _census_met(theorem, n), [
             (x, y, full ^ (1 << x) ^ (1 << y), _short_path_masks(n, bit, x, y)[1])
             for x in range(n)
             for y in range(x + 1, n)
         ]
-    kind, members, _ = _FAMILY_THEOREMS[theorem]
-    _require_budget(kind(ColoredGraph.complete(n)), budget)
-    return met, _member_masks(n, members)
+    kind = _FAMILY_THEOREMS[theorem][0]
+    budget.require(kind.budget_field, kind.complete_count(n), "members to enumerate")
+    return _census_met(theorem, n), _member_masks(n, kind.members)
 
 
 def _check_range(theorem: str, n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
@@ -225,20 +206,15 @@ def _tree_candidates(n: int) -> tuple:
     return minus_seed, lambda mask: minus_seed(full ^ mask), partial(_answer, finder, n, edges)
 
 
-# family theorem -> (family whose members the scan checks, the generator of
-# their edge lists over a symmetric table, and a function of n giving the
-# candidates: functions of a colouring mask, each giving one of the
-# finder's members as a (refusal, edges) pair, in the order they are
-# tried, refusal(edges) the text of a refusal; finders are looked up when
-# a scan starts)
+# family theorem -> (family whose members the scan checks, and a function
+# of n giving the candidates: functions of a colouring mask, each giving
+# one of the finder's members as a (refusal, edges) pair, in the order
+# they are tried, refusal(edges) the text of a refusal; finders are looked
+# up when a scan starts)
 _FAMILY_THEOREMS = {
-    "tree": (SpanningTrees, _prufer_trees, _tree_candidates),
-    "diam3": (Diam3Trees, _diam3_trees, lambda n: _answers(finders.find_zero_sum_diam3_tree, n)),
-    "path-census": (
-        HamiltonianPaths,
-        _hampaths,
-        lambda n: _answers(finders.find_zero_sum_spanning_path, n),
-    ),
+    "tree": (SpanningTrees, _tree_candidates),
+    "diam3": (Diam3Trees, lambda n: _answers(finders.find_zero_sum_diam3_tree, n)),
+    "path-census": (HamiltonianPaths, lambda n: _answers(finders.find_zero_sum_spanning_path, n)),
 }
 _FAMILY_THEOREMS["path-decomposition"] = _FAMILY_THEOREMS["path-census"]
 
@@ -247,7 +223,7 @@ def _family_core(theorem: str, n: int, lo: int, hi: int, table: tuple) -> Theore
     met, members = table
     bit = _edge_bits(n)
     size = len(members)
-    candidates = _FAMILY_THEOREMS[theorem][2](n)
+    candidates = _FAMILY_THEOREMS[theorem][1](n)
     report = TheoremReport(theorem, n, lo, hi)
     ces = report.counterexamples
     for mask in range(lo, hi):
@@ -279,8 +255,15 @@ def _family_core(theorem: str, n: int, lo: int, hi: int, table: tuple) -> Theore
 
 
 def _short_path_masks(n: int, bit, x: int, y: int):
-    """Masks of all x..y paths of length 2 (target one -1 edge) and
-    length 4 (target two -1 edges) of K_n, over the edge-bit table bit."""
+    """Masks of the x..y paths of K_n of length 2, all n-2 of them (target
+    one -1 edge), and of length 4, x-a-b-c-y with a < c only (target two
+    -1 edges), over the edge-bit table bit.
+
+    That half of the (n-2)(n-3)(n-4) length-4 paths is enough wherever
+    no length-2 path is zero-sum, the only case in which the length-4
+    masks are read: then every other vertex u sees x and y with one sign
+    (f(xu) = f(uy)), so x-a-b-c-y and its mirror x-c-b-a-y carry equally
+    many -1 edges."""
     others = [u for u in range(n) if u not in (x, y)]
     masks2 = [bit[x][u] | bit[u][y] for u in others]
     masks4 = []
@@ -381,11 +364,7 @@ def exhaustive_theorem_check(
     lo, hi = shard if shard is not None else (0, space)
     if not (0 <= lo <= hi <= space):
         raise DomainError(f"shard [{lo},{hi}) outside colouring space [0,{space})")
-    if hi - lo > budget.max_colorings:
-        raise BudgetExceeded(
-            f"{hi - lo:,} colourings to check; requires max_colorings >= {hi - lo:,} "
-            f"(budget is {budget.max_colorings:,})"
-        )
+    budget.require("max_colorings", hi - lo, "colourings to check")
     start = time.perf_counter()
 
     def progress(done: int, report: TheoremReport) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from zerosum.families import (
     Diam3Trees,
     ExchangeChain,
     HamiltonianPaths,
+    PerfectMatchings,
     SpanningTrees,
     diam3_exchange_chain,
     hampath_exchange_chain,
@@ -292,3 +294,28 @@ def test_interpolated_chain_is_valid_sample():
                     assert reps <= 2 * (n - 2)
                 if isinstance(kind, HamiltonianPaths):
                     assert reps <= 2 * (n - 1)
+
+
+# SHA-256 over the members of K_n in the order edge_sets() yields them,
+# each as its sorted edge list: for the three families n = 0..7, for
+# perfect matchings n = 0, 2, .., 8
+MEMBER_ORDER_DIGESTS = {
+    "SpanningTrees": "ed7171aab0fc97717dca57ee87c6e344da82691b33d6be6d037377657af31b62",
+    "HamiltonianPaths": "21ee653b59337b60bf22fd4b5c323cca0de622ee5879b72f1606193ab418d0aa",
+    "Diam3Trees": "230f5ce0cdd507690b14b07559c935e7513bdc5e7310acfc76e0080a63e4ebc3",
+    "PerfectMatchings": "64d7e02bdbe13d3f3d61f9e2985f86673b9e57096b288eb067693b462e9a9e36",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, orders",
+    [(SpanningTrees, range(8)), (HamiltonianPaths, range(8)), (Diam3Trees, range(8))]
+    + [(PerfectMatchings, range(0, 9, 2))],
+    ids=lambda v: getattr(v, "__name__", ""),
+)
+def test_member_enumeration_order_unchanged(kind, orders):
+    digest = hashlib.sha256()
+    for n in orders:
+        for edges in kind(ColoredGraph.complete(n)).edge_sets():
+            digest.update(repr(sorted(edges)).encode())
+    assert digest.hexdigest() == MEMBER_ORDER_DIGESTS[kind.__name__]

@@ -385,6 +385,26 @@ def test_path_finder_not_found_reports_routes():
     assert "census threshold not met" in report.certificate
 
 
+# the greedy linear forest takes 0-4, 3-7, 4-8 and 7-8 from this -1 class
+# of K_11 and stops one edge short of the five in 0-4-9-8-7-3
+_GREEDY_MISS = ColoredGraph.complete_with_minus(
+    11, [(0, 4), (3, 7), (4, 8), (4, 9), (7, 8), (7, 9), (8, 9)]
+)
+
+
+def test_the_greedy_miss_has_a_zero_sum_spanning_path():
+    order = [0, 4, 9, 8, 7, 3, 1, 2, 5, 6, 10]
+    path = EdgeSubgraph(_GREEDY_MISS, list(zip(order, order[1:])))
+    assert is_hamiltonian_path(path) and weight(path) == 0
+
+
+@pytest.mark.xfail(
+    strict=True, reason="the census route's greedy linear forest is not an exact search"
+)
+def test_path_finder_finds_the_path_the_greedy_misses():
+    assert find_zero_sum_spanning_path(_GREEDY_MISS).found
+
+
 def test_path_finder_chain_bound():
     rng = random.Random(31)
     for _ in range(100):

@@ -144,6 +144,21 @@ def test_exhaustive_check_refuses_a_path_mask_table_over_budget():
         exhaustive_theorem_check("connected", 7, EnumerationBudget(max_paths=629), shard=(0, 1))
 
 
+def test_exhaustive_check_refuses_before_building_anything(monkeypatch):
+    # 2000^1998 spanning trees have too many digits for str(); the refusal
+    # comes from the closed-form count, before any census list or graph
+    def refuse(*args):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(oracle, "_census_met", refuse)
+    monkeypatch.setattr(ColoredGraph, "complete", refuse)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="max_spanning_trees") as err:
+        exhaustive_theorem_check("tree", 2000, shard=(0, 1))
+    assert time.perf_counter() - start < 1.0
+    assert "about 10^6,595 members to enumerate" in str(err.value)
+
+
 def test_exhaustive_tree_n5():
     report = exhaustive_theorem_check("tree", 5)
     assert report.passed
@@ -418,9 +433,37 @@ def test_member_table_holds_every_member_once(theorem, n):
     g = ColoredGraph.complete(n)
     kind = oracle._FAMILY_THEOREMS[theorem][0](g)
     index = {e: i for i, e in enumerate(complete_edges(n))}
-    masks = oracle._member_masks(n, oracle._FAMILY_THEOREMS[theorem][1])
+    masks = oracle._member_masks(n, kind.members)
     assert masks == sorted(sum(1 << index[e] for e in m.edges) for m in enumerate_family(g, kind))
     assert len(set(masks)) == kind.count()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_half_of_the_length_4_paths_decides_a_pair(n):
+    # the connected table keeps x-a-b-c-y only for a < c; wherever no
+    # length-2 path is zero-sum, that half holds a zero-sum length-4 path
+    # exactly when one of all (n-2)(n-3)(n-4) ordered a, b, c does
+    bit = oracle._edge_bits(n)
+    tables = []
+    for x, y in itertools.combinations(range(n), 2):
+        masks2, half = oracle._short_path_masks(n, bit, x, y)
+        others = [u for u in range(n) if u not in (x, y)]
+        every = [
+            bit[x][a] | bit[a][b] | bit[b][c] | bit[c][y]
+            for a, b, c in itertools.permutations(others, 3)
+        ]
+        assert 2 * len(half) == len(every)
+        tables.append((masks2, half, every))
+    cases = 0
+    for mask in range(1 << binomial(n, 2)):
+        for masks2, half, every in tables:
+            if any((p & mask).bit_count() == 1 for p in masks2):
+                continue
+            cases += 1
+            assert any((p & mask).bit_count() == 2 for p in half) == any(
+                (p & mask).bit_count() == 2 for p in every
+            )
+    assert cases > 0
 
 
 _seed = finders._tree_seed
