@@ -2,11 +2,13 @@
 
 Enumerates whole families (spanning trees, Hamiltonian paths,
 diameter-3 trees, perfect matchings) and iterates entire colouring
-spaces as sign bitmasks over the canonical edge order.  For every
-colouring that meets a guarantee's hypothesis, every candidate the
-constructive finder hands over is checked against the oracle's own table
-of the family's members, and its weight against the colouring; the table
-is searched for a light member only to word a refusal.
+spaces as sign bitmasks over the canonical edge order.  Each theorem
+has one check, built once per call, that one loop runs on every
+colouring meeting the hypothesis.  A family check tests every candidate
+the constructive finder hands over against the oracle's own table of
+the family's members, and its weight against the colouring; the
+connected check tests each vertex pair's short paths on its own masks,
+then the path the finder's search returns.
 
 Enumerations refuse instead of sampling when a budget would be
 exceeded.  Colouring ranges shard cleanly: shards share nothing and
@@ -15,9 +17,11 @@ their reports merge associatively.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import get_context
@@ -72,8 +76,6 @@ def enumerate_family(
 
 # --- exhaustive theorem checks ---------------------------------------------------
 
-THEOREMS = ("tree", "connected", "diam3", "path-census", "path-decomposition")
-
 
 @dataclass
 class TheoremReport:
@@ -112,7 +114,7 @@ def _edge_bits(n: int) -> list[list[int]]:
 def _member_masks(n: int, members) -> list[int]:
     """The masks of all members of a family of K_n, n >= 2, members(n,
     table) yielding each one's edges uv as table[u][v] of the edge-bit
-    table; sorted, so that the family scan tests membership by bisection."""
+    table; sorted, so that the family check tests membership by bisection."""
     return sorted(sum(bits) for bits in members(n, _edge_bits(n)))
 
 
@@ -130,48 +132,6 @@ def _census_met(theorem: str, n: int) -> list[bool]:
     return [guarantee.holds(min(e, m - e), bound) for e in range(m + 1)]
 
 
-def _theorem_table(theorem: str, n: int, budget: EnumerationBudget) -> tuple:
-    """What a theorem's scan looks up for every colouring: the met list of
-    _census_met, and the masks of all family members or, for connected,
-    each vertex pair x, y with the mask of the other vertices and the
-    length-4 masks of _short_path_masks.  Built once per
-    exhaustive_theorem_check call; a table larger than its budget field is
-    refused, from its closed-form size, before anything is built."""
-    if theorem == "connected":
-        _require_path_masks(n, binomial(n, 2), budget)
-        bit = _edge_bits(n)
-        full = (1 << n) - 1
-        return _census_met(theorem, n), [
-            (x, y, full ^ (1 << x) ^ (1 << y), _short_path_masks(n, bit, x, y)[1])
-            for x in range(n)
-            for y in range(x + 1, n)
-        ]
-    kind = _FAMILY_THEOREMS[theorem][0]
-    budget.require(kind.budget_field, kind.complete_count(n), "members to enumerate")
-    return _census_met(theorem, n), _member_masks(n, kind.members)
-
-
-def _check_range(theorem: str, n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
-    if theorem == "connected":
-        return _connected_core(n, lo, hi, table)
-    return _family_core(theorem, n, lo, hi, table)
-
-
-# a pool worker's copy of the parent's table, set by _init_worker; it is
-# inherited through fork, so it is never pickled, and dies with the pool
-_worker_table = None
-
-
-def _init_worker(table: tuple) -> None:
-    global _worker_table
-    _worker_table = table
-
-
-def _check_chunk(bounds) -> TheoremReport:
-    theorem, n, lo, hi = bounds
-    return _check_range(theorem, n, lo, hi, _worker_table)
-
-
 def _answer(finder, n: int, edges: tuple, mask: int) -> tuple:
     """The finder's member for a colouring, run on its graph, as a
     candidate: () when it reports none, refused with its certificate."""
@@ -179,10 +139,9 @@ def _answer(finder, n: int, edges: tuple, mask: int) -> tuple:
     return (lambda _: rep.certificate), (rep.subgraph.edges if rep.found else ())
 
 
-def _answers(finder, n: int) -> tuple:
-    """The candidates of a theorem whose one candidate is its finder's
-    member."""
-    return (partial(_answer, finder, n, complete_edges(n)),)
+def _answers(name: str):
+    """Candidates as a function of n: the one member of finders.<name>, looked up then."""
+    return lambda n: (partial(_answer, getattr(finders, name), n, complete_edges(n)),)
 
 
 def _seed_refusal(tree) -> str:
@@ -206,30 +165,18 @@ def _tree_candidates(n: int) -> tuple:
     return minus_seed, lambda mask: minus_seed(full ^ mask), partial(_answer, finder, n, edges)
 
 
-# family theorem -> (family whose members the scan checks, and a function
-# of n giving the candidates: functions of a colouring mask, each giving
-# one of the finder's members as a (refusal, edges) pair, in the order
-# they are tried, refusal(edges) the text of a refusal; finders are looked
-# up when a scan starts)
-_FAMILY_THEOREMS = {
-    "tree": (SpanningTrees, _tree_candidates),
-    "diam3": (Diam3Trees, lambda n: _answers(finders.find_zero_sum_diam3_tree, n)),
-    "path-census": (HamiltonianPaths, lambda n: _answers(finders.find_zero_sum_spanning_path, n)),
-}
-_FAMILY_THEOREMS["path-decomposition"] = _FAMILY_THEOREMS["path-census"]
-
-
-def _family_core(theorem: str, n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
-    met, members = table
+def _family_table(kind, candidates, n: int, budget: EnumerationBudget):
+    """The check of a family theorem on K_n over the sorted masks of all
+    members of kind, refused over budget from their closed-form count, and
+    candidates(n): functions of a colouring mask, each giving a (refusal,
+    edges) pair, in the order tried, refusal(edges) the text of a refusal."""
+    budget.require(kind.budget_field, kind.complete_count(n), "members to enumerate")
+    members = _member_masks(n, kind.members)
     bit = _edge_bits(n)
     size = len(members)
-    candidates = _FAMILY_THEOREMS[theorem][1](n)
-    report = TheoremReport(theorem, n, lo, hi)
-    ces = report.counterexamples
-    for mask in range(lo, hi):
-        if not met[mask.bit_count()]:
-            continue
-        report.hypothesis_met += 1
+    candidates = candidates(n)
+
+    def check(mask):
         # every candidate is checked here against the oracle's own member
         # table, so the finder is trusted for nothing: a non-member is
         # refused, a light member (n-1 edges, |weight| <= 1) confirms, and a
@@ -243,15 +190,12 @@ def _family_core(theorem: str, n: int, lo: int, hi: int, table: tuple) -> Theore
             if i == size or members[i] != t:
                 break
             if abs(n - 1 - 2 * (t & mask).bit_count()) <= 1:
-                why = None
-                break
-        if why is None:
-            report.confirmed += 1
-        elif any(abs(n - 1 - 2 * (m & mask).bit_count()) <= 1 for m in members):
-            ces.append({"mask": mask, "reason": f"finder failed: {why(sub)}"})
-        else:
-            ces.append({"mask": mask, "reason": "oracle found no qualifying member"})
-    return report
+                return None
+        if any(abs(n - 1 - 2 * (m & mask).bit_count()) <= 1 for m in members):
+            return {"reason": f"finder failed: {why(sub)}"}
+        return {"reason": "oracle found no qualifying member"}
+
+    return check
 
 
 def _short_path_masks(n: int, bit, x: int, y: int):
@@ -278,19 +222,25 @@ def _short_path_masks(n: int, bit, x: int, y: int):
     return masks2, masks4
 
 
-def _connected_core(n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
-    met, pair_masks = table
+def _connected_table(n: int, budget: EnumerationBudget):
+    """The check of the connectivity theorem on K_n over each vertex pair x,
+    y with the mask of the other vertices and the length-4 masks of
+    _short_path_masks, refused over max_paths before any is built."""
+    _require_path_masks(n, binomial(n, 2), budget)
+    bit = _edge_bits(n)
+    full = (1 << n) - 1
+    pair_masks = [
+        (x, y, full ^ (1 << x) ^ (1 << y), _short_path_masks(n, bit, x, y)[1])
+        for x in range(n)
+        for y in range(x + 1, n)
+    ]
     edges = complete_edges(n)
     # the finder's search, run on the oracle's own -1 masks; its path is
     # then checked here, so the finder is trusted for nothing
     search = finders._short_zero_sum_path
     vertices = set(range(n))
-    report = TheoremReport("connected", n, lo, hi)
-    ces = report.counterexamples
-    for mask in range(lo, hi):
-        if not met[mask.bit_count()]:
-            continue
-        report.hypothesis_met += 1
+
+    def check(mask):
         # per vertex, its -1 neighbours: x-u-y has one -1 edge exactly when
         # u is a -1 neighbour of one of x and y but not of the other
         minus = [0] * n
@@ -331,10 +281,64 @@ def _connected_core(n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
             reason = f"finder failed: {label} path {path} is not a zero-sum x..y path"
             break
         else:
-            report.confirmed += 1
+            return None
+        return {"pair": [x, y], "reason": reason}
+
+    return check
+
+
+# theorem -> build(n, budget), giving check(mask) for a colouring of K_n
+# that meets the hypothesis: None when it is confirmed, otherwise the
+# fields of its counterexample; finders are looked up when it is built
+_CHECKS = {
+    "tree": partial(_family_table, SpanningTrees, _tree_candidates),
+    "connected": _connected_table,
+    "diam3": partial(_family_table, Diam3Trees, _answers("find_zero_sum_diam3_tree")),
+    "path-census": partial(
+        _family_table, HamiltonianPaths, _answers("find_zero_sum_spanning_path")
+    ),
+}
+_CHECKS["path-decomposition"] = _CHECKS["path-census"]
+THEOREMS = tuple(_CHECKS)
+
+
+def _check_range(theorem: str, n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
+    """The report of colourings lo..hi-1, table the met list and the check."""
+    met, check = table
+    report = TheoremReport(theorem, n, lo, hi)
+    for mask in range(lo, hi):
+        if not met[mask.bit_count()]:
             continue
-        ces.append({"mask": mask, "pair": [x, y], "reason": reason})
+        report.hypothesis_met += 1
+        fields = check(mask)
+        if fields is None:
+            report.confirmed += 1
+        else:
+            report.counterexamples.append({"mask": mask, **fields})
     return report
+
+
+# a pool worker's copy of the parent's table, set by _init_worker; it is
+# inherited through fork, so it is never pickled, and dies with the pool
+_worker_table = None
+
+
+def _init_worker(table: tuple) -> None:
+    global _worker_table
+    _worker_table = table
+
+
+def _check_chunk(bounds) -> TheoremReport:
+    theorem, n, lo, hi = bounds
+    return _check_range(theorem, n, lo, hi, _worker_table)
+
+
+def _shown(b: int) -> str:
+    """b in digits or, too long for str(), by its size."""
+    try:
+        return str(b)
+    except ValueError:
+        return f"{'-' if b < 0 else ''}about 10^{math.log10(abs(b)):,.0f}"
 
 
 def exhaustive_theorem_check(
@@ -360,45 +364,40 @@ def exhaustive_theorem_check(
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     budget = budget or DEFAULT_BUDGET
-    space = 1 << binomial(n, 2)
-    lo, hi = shard if shard is not None else (0, space)
-    if not (0 <= lo <= hi <= space):
-        raise DomainError(f"shard [{lo},{hi}) outside colouring space [0,{space})")
+    m = binomial(n, 2)
+    lo, hi = shard if shard is not None else (0, 1 << m)
+    if not (0 <= lo <= hi and (hi - 1).bit_length() <= m):
+        raise DomainError(f"shard [{_shown(lo)},{_shown(hi)}) outside colouring space [0,2^{m})")
     budget.require("max_colorings", hi - lo, "colourings to check")
     start = time.perf_counter()
-
-    def progress(done: int, report: TheoremReport) -> None:
-        elapsed = time.perf_counter() - start
-        emit({
-            "type": "progress",
-            "done": done,
-            "total": hi - lo,
-            "elapsed_s": round(elapsed, 3),
-            "rate": round(done / elapsed, 1) if elapsed > 0 else None,
-            "hypothesis_met": report.hypothesis_met,
-            "confirmed": report.confirmed,
-        })
-
-    table = _theorem_table(theorem, n, budget)
+    # one table a call, built here, before any pool: its workers inherit it
+    check = _CHECKS[theorem](n, budget)
+    table = _census_met(theorem, n), check
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1 or hi - lo < 8192:
-        report = _check_range(theorem, n, lo, hi, table)
-        if emit is not None:
-            progress(hi - lo, report)
-        return report
-
-    chunk_count = jobs * 4
-    step = max(1, (hi - lo + chunk_count - 1) // chunk_count)
-    chunks = [(a, min(a + step, hi)) for a in range(lo, hi, step)]
+        pool, parts = nullcontext(), [_check_range(theorem, n, lo, hi, table)]
+    else:
+        step = max(1, (hi - lo + jobs * 4 - 1) // (jobs * 4))
+        chunks = [(theorem, n, a, min(a + step, hi)) for a in range(lo, hi, step)]
+        pool = get_context("fork").Pool(processes=jobs, initializer=_init_worker, initargs=(table,))
+        parts = pool.imap(_check_chunk, chunks)
     merged = TheoremReport(theorem, n, lo, hi)
     done = 0
-    pool = get_context("fork").Pool(processes=jobs, initializer=_init_worker, initargs=(table,))
     with pool:
-        for part in pool.imap(_check_chunk, [(theorem, n, a, b) for a, b in chunks]):
+        for part in parts:
             merged.hypothesis_met += part.hypothesis_met
             merged.confirmed += part.confirmed
             merged.counterexamples.extend(part.counterexamples)
             done += part.hi - part.lo
             if emit is not None:
-                progress(done, merged)
+                elapsed = time.perf_counter() - start
+                emit({
+                    "type": "progress",
+                    "done": done,
+                    "total": hi - lo,
+                    "elapsed_s": round(elapsed, 3),
+                    "rate": round(done / elapsed, 1) if elapsed > 0 else None,
+                    "hypothesis_met": merged.hypothesis_met,
+                    "confirmed": merged.confirmed,
+                })
     return merged

@@ -353,12 +353,12 @@ def test_double_star_rule_matches_oracle_scan_on_every_k7_colouring():
     # |w| <= 1 on K_7 exactly when the oracle's family-mask scan finds a
     # member with 3 -1 edges; below the census hypothesis, so does the
     # public finder
-    from zerosum.families import DEFAULT_BUDGET
+    from zerosum.families import Diam3Trees
     from zerosum.finders import _double_star, find_zero_sum_diam3_tree
-    from zerosum.oracle import _theorem_table
+    from zerosum.oracle import _census_met, _member_masks
 
     n = 7
-    met, masks = _theorem_table("diam3", n, DEFAULT_BUDGET)
+    met, masks = _census_met("diam3", n), _member_masks(n, Diam3Trees.members)
     light = ((n - 1) // 2, n // 2)
     found = below = 0
     for mask in range(1 << binomial(n, 2)):

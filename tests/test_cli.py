@@ -248,6 +248,14 @@ def test_verify_shard(capsys):
     assert summary["range"] == [0, 4096]
 
 
+def test_verify_shard_outside_a_huge_space_is_exit_2(capsys):
+    # 2^C(1400,2) has 294,800 digits, past what str() converts: the space
+    # is stated as a power of two
+    code, out, err = run_cli(capsys, ["verify", "tree", "1400", "--shard", "5", "3"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: shard [5,3) outside colouring space [0,2^979300)"]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_json_progress_carries_rate_and_totals(capsys, jobs):
     code, out, _ = run_cli(capsys, ["verify", "tree", "6", "--json", "--jobs", jobs])
@@ -256,6 +264,8 @@ def test_verify_json_progress_carries_rate_and_totals(capsys, jobs):
     progress = [e for e in events if e["type"] == "progress"]
     summary = events[-1]
     assert progress and summary["type"] == "summary"
+    if jobs == "1":
+        assert len(progress) == 1
     keys = {"type", "done", "total", "elapsed_s", "rate", "hypothesis_met", "confirmed"}
     for before, event in zip([None] + progress, progress):
         assert set(event) == keys

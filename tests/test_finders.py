@@ -19,7 +19,7 @@ from zerosum.extremal import (
     _stacked_planar_host,
     make_extremal_graph,
 )
-from zerosum.families import DEFAULT_BUDGET, Diam3Trees, HamiltonianPaths, SpanningTrees
+from zerosum.families import Diam3Trees, HamiltonianPaths, SpanningTrees
 from zerosum.finders import (
     _double_star,
     _linear_forest,
@@ -49,7 +49,7 @@ from zerosum.graphs import (
     tree_diameter,
     weight,
 )
-from zerosum.oracle import EnumerationBudget, _theorem_table, enumerate_family
+from zerosum.oracle import EnumerationBudget, _CHECKS, _census_met, _member_masks, enumerate_family
 from zerosum.thresholds import ex_forest, spanning_path_threshold
 
 
@@ -147,7 +147,8 @@ def _light_member_scan(theorem, n):
     """The census-met list of the oracle's table for theorem on K_n, and
     exists(mask): whether its family masks hold a member with (n-1)//2 or
     n//2 -1 edges on the colouring mask, that is one of |weight| <= 1."""
-    met, masks = _theorem_table(theorem, n, DEFAULT_BUDGET)
+    met = _census_met(theorem, n)
+    masks = _member_masks(n, _CHECKS[theorem].args[0].members)
     light = ((n - 1) // 2, n // 2)
     return met, lambda mask: any((m & mask).bit_count() in light for m in masks)
 

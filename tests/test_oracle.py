@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -159,6 +160,32 @@ def test_exhaustive_check_refuses_before_building_anything(monkeypatch):
     assert "about 10^6,595 members to enumerate" in str(err.value)
 
 
+def test_shard_bounds_are_checked_without_building_the_space():
+    # 2^C(20000,2) would take 25 MB; the shard is checked by bit length and
+    # the spanning-tree table refused from its closed-form count
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="max_spanning_trees"):
+            exhaustive_theorem_check("tree", 20000, shard=(0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_shard_bounds_past_the_space_or_too_long_to_print():
+    space = 1 << binomial(5, 2)
+    assert exhaustive_theorem_check("tree", 5, shard=(space - 1, space)).colourings == 1
+    for shard, text in [
+        ((0, space + 1), r"shard \[0,1025\) outside colouring space \[0,2\^10\)"),
+        ((-1, 3), r"shard \[-1,3\)"),
+        ((3, 2), r"shard \[3,2\)"),
+        ((0, 10**5000), r"shard \[0,about 10\^5,000\) outside colouring space \[0,2\^10\)"),
+    ]:
+        with pytest.raises(DomainError, match=text):
+            exhaustive_theorem_check("tree", 5, shard=shard)
+
+
 def test_exhaustive_tree_n5():
     report = exhaustive_theorem_check("tree", 5)
     assert report.passed
@@ -175,12 +202,21 @@ def test_shards_merge_to_full_run():
     assert a.confirmed + b.confirmed == full.confirmed
 
 
-def test_jobs_match_single_process():
-    single = exhaustive_theorem_check("diam3", 5)
-    multi = exhaustive_theorem_check("diam3", 5, jobs=2, shard=(0, 1 << 10))
-    assert (single.hypothesis_met, single.confirmed) == (
-        multi.hypothesis_met,
-        multi.confirmed,
+@pytest.mark.parametrize("theorem", oracle.THEOREMS)
+def test_jobs_match_single_process(monkeypatch, theorem):
+    # 8,192 colourings of K_6, every layer met, so that counterexamples
+    # arise: two workers (a pool even on one CPU) merge their chunks to the
+    # one-process report, counterexamples in order
+    monkeypatch.setattr(oracle, "_census_met", lambda theorem, n: [True] * (binomial(n, 2) + 1))
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    shard = (8192, 16384)
+    single = exhaustive_theorem_check(theorem, 6, shard=shard)
+    multi = exhaustive_theorem_check(theorem, 6, jobs=2, shard=shard)
+    assert single.hypothesis_met == 8192 and single.confirmed > 0
+    assert (multi.hypothesis_met, multi.confirmed, multi.counterexamples) == (
+        single.hypothesis_met,
+        single.confirmed,
+        single.counterexamples,
     )
 
 
@@ -245,14 +281,6 @@ def test_family_table_is_built_once_in_the_parent(monkeypatch):
     assert (multi.hypothesis_met, multi.confirmed) == (single.hypothesis_met, single.confirmed)
 
 
-def test_connected_jobs_match_single_process():
-    shard = (16384, 24576)
-    single = exhaustive_theorem_check("connected", 6, shard=shard)
-    multi = exhaustive_theorem_check("connected", 6, jobs=2, shard=shard)
-    assert single.passed and multi.passed
-    assert (single.hypothesis_met, single.confirmed) == (multi.hypothesis_met, multi.confirmed)
-
-
 def test_connected_n5_finds_the_known_counterexample():
     # below the theorem's n >= 6 domain the census bound is attainable yet
     # insufficient: the -1 triangle colouring must surface as a counterexample
@@ -260,6 +288,28 @@ def test_connected_n5_finds_the_known_counterexample():
     assert not report.passed
     triangle_mask = 0b10011  # edges (0,1), (0,2), (1,2) in canonical order
     assert any(ce["mask"] == triangle_mask for ce in report.counterexamples)
+
+
+# every counterexample of connected on K_4 and K_5 as (mask, pair), in
+# scan order; each is refused by the oracle's own existence test
+CONNECTED_COUNTEREXAMPLES = {
+    4: [(7, [1, 2]), (11, [0, 1]), (21, [0, 1]), (25, [0, 2]), (38, [0, 2]), (42, [0, 1]),
+        (52, [0, 1]), (56, [1, 2])],
+    5: [(19, [0, 1]), (37, [0, 1]), (73, [0, 1]), (127, [2, 3]), (134, [0, 2]), (176, [1, 2]),
+        (266, [0, 2]), (336, [1, 2]), (415, [1, 3]), (499, [0, 3]), (524, [0, 3]), (608, [1, 3]),
+        (687, [1, 2]), (757, [0, 2]), (847, [1, 2]), (889, [0, 2]), (896, [2, 3]), (950, [0, 1]),
+        (986, [0, 1]), (1004, [0, 1])],
+}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_connected_counterexample_records_unchanged(n):
+    # items, not dicts, so that the key order --json prints is pinned too
+    report = exhaustive_theorem_check("connected", n)
+    assert [list(ce.items()) for ce in report.counterexamples] == [
+        [("mask", mask), ("pair", pair), ("reason", "oracle found no short zero-sum path")]
+        for mask, pair in CONNECTED_COUNTEREXAMPLES[n]
+    ]
 
 
 def test_connected_scan_builds_no_graph(monkeypatch):
@@ -367,7 +417,7 @@ def test_family_scan_words_a_colouring_with_no_light_member(monkeypatch, theorem
     # own words rather than the finder's
     monkeypatch.setattr(oracle, "_census_met", lambda theorem, n: [True] * (binomial(n, 2) + 1))
     report = exhaustive_theorem_check(theorem, n)
-    kind = oracle._FAMILY_THEOREMS[theorem][0](ColoredGraph.complete(n))
+    kind = oracle._CHECKS[theorem].args[0](ColoredGraph.complete(n))
     none = [mask for mask in range(1 << binomial(n, 2)) if not _light_member(kind, mask)]
     assert none and report.hypothesis_met == 1 << binomial(n, 2)
     assert [ce["mask"] for ce in report.counterexamples] == none
@@ -431,7 +481,7 @@ def test_tree_scan_builds_no_graph(monkeypatch):
 )
 def test_member_table_holds_every_member_once(theorem, n):
     g = ColoredGraph.complete(n)
-    kind = oracle._FAMILY_THEOREMS[theorem][0](g)
+    kind = oracle._CHECKS[theorem].args[0](g)
     index = {e: i for i, e in enumerate(complete_edges(n))}
     masks = oracle._member_masks(n, kind.members)
     assert masks == sorted(sum(1 << index[e] for e in m.edges) for m in enumerate_family(g, kind))
