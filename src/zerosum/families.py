@@ -329,20 +329,25 @@ class EnumerationBudget:
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
 
-    def require(self, field: str, count: int, what: str) -> None:
-        """Refuse with BudgetExceeded, stating the required budget, when
-        count (of what) exceeds the named field; every refusal is raised
-        here.  A count too long for str() is stated by its size instead,
-        so it is never converted."""
+    def require(self, field: str, count: int, what: str, shift: int = 0) -> None:
+        """Refuse with BudgetExceeded, stating the required budget (see
+        stated), when count << shift (of what) exceeds the named field,
+        never building it past the field's bit length; every refusal is
+        raised here."""
         limit = getattr(self, field)
-        if count <= limit:
+        if count << min(shift, limit.bit_length()) <= limit:
             return
-        max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if max_digits and math.log10(count) >= max_digits - 1:
-            stated = f"about 10^{math.log10(count):,.0f}"
-        else:
-            stated = f"{count:,}"
-        raise BudgetExceeded(f"{stated} {what}; requires {field} >= {stated} (budget is {limit:,})")
+        need = stated(count, ",", shift)
+        raise BudgetExceeded(f"{need} {what}; requires {field} >= {need} (budget is {limit:,})")
+
+
+def stated(b: int, spec: str = "", shift: int = 0) -> str:
+    """b << shift formatted by spec or, past str()'s digit limit, by its size
+    (about 10^k) without converting it; shift spares building 2^shift."""
+    size = math.log10(abs(b)) + shift * math.log10(2) if b else 0
+    if size >= getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0:
+        return f"{'-' if b < 0 else ''}about 10^{size:,.0f}"
+    return format(b << shift, spec)
 
 
 DEFAULT_BUDGET = EnumerationBudget()

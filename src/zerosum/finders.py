@@ -5,9 +5,10 @@ guarantee, and for spanning trees the host class, only writes the
 certificate.  The spanning-tree and spanning-path
 finders extract monochromatic seed subgraphs, complete them to family
 members and walk the interpolation chain between two whose weights straddle
-zero; the diameter-3 finder picks a light double star by arithmetic.  Every
-successful report is re-validated against the host signs before it is
-returned.
+zero.  The diameter-3 and short-path finders are pure searches over the
+host's per-vertex -1 masks (_diam3_tree, _short_zero_sum_path), which the
+oracle runs on the masks it reads off a colouring.  Every successful
+report is re-validated against the host signs before it is returned.
 """
 
 from __future__ import annotations
@@ -283,21 +284,27 @@ def find_zero_sum_spanning_path(g: ColoredGraph) -> FindReport:
 # --- diameter-3 trees ---------------------------------------------------------
 
 
-def _double_star(g: ColoredGraph) -> Optional[tuple[int, int, frozenset]]:
-    """The first double star of a complete host with |weight| <= 1, as
-    (u, v, edges), or None when no spanning tree of diameter <= 3 is that
-    light.
+def _diam3_tree(minus, n: int) -> Optional[tuple[str, list]]:
+    """The search behind find_zero_sum_diam3_tree, read from the per-vertex
+    -1 masks of a complete host on n vertices alone: (route, edges) of the
+    first spanning tree of diameter <= 3 with |weight| <= 1 it meets, or
+    None when no such tree exists.
 
-    A tree of diameter <= 3 is a double star on some edge uv, every other
-    vertex w hanging on u or on v.  With P of the w seeing u and v both +1,
-    M both -1 and the F others free to pick either sign, the reachable
-    weights are base +- F in steps of 2, base = f(uv) + P - M; so one of
-    |w| <= 1 exists iff |base| <= F + 1.  Pairs are scanned u < v in
-    lexicographic order; fixed vertices hang on u, and the first s free
-    ones (ascending) take their +1 edge, the rest their -1 edge.
+    In K_n the star at a vertex of -1 degree d weighs n-1 - 2d; the star
+    centred on the first vertex of most, then fewest, -1 edges is tried
+    first.  Otherwise every such tree is a double star on some edge uv,
+    each other vertex w hanging on u or on v.  With P of the w seeing u
+    and v both +1, M both -1 and the F others free to pick either sign,
+    the reachable weights are base +- F in steps of 2, base = f(uv) + P -
+    M; so one of |w| <= 1 exists iff |base| <= F + 1.  Pairs are scanned
+    u < v in lexicographic order; fixed vertices hang on u, and the first
+    s free ones (ascending) take their +1 edge, the rest their -1 edge.
     """
-    n = g.n
-    minus = g.minus_masks()
+    deg_minus = [m.bit_count() for m in minus]
+    for d in (max(deg_minus), min(deg_minus)):
+        if abs(n - 1 - 2 * d) <= 1:
+            c = deg_minus.index(d)
+            return "spanning star used directly", [canonical_edge(c, x) for x in range(n) if x != c]
     full = (1 << n) - 1
     for u in range(n):
         mu = minus[u]
@@ -325,18 +332,14 @@ def _double_star(g: ColoredGraph) -> Optional[tuple[int, int, frozenset]]:
                         a = v
                     taken += 1
                 tree.append((a, w) if a < w else (w, a))
-            return u, v, frozenset(tree)
+            return f"double star on {u}-{v}", tree
     return None
 
 
 def find_zero_sum_diam3_tree(g: ColoredGraph) -> FindReport:
     """Spanning tree of diameter <= 3 with |weight| <= 1 of a complete host,
-    on every colouring; found=False means none exists.
-
-    A spanning star of weight |w| <= 1 centred on the vertex of most -1,
-    then most +1, edges is used directly; otherwise the first double star
-    of that weight (see _double_star) is.
-    """
+    on every colouring, as _diam3_tree picks it from the host's -1 masks;
+    found=False means none exists."""
     if not g.is_complete:
         raise DomainError("host must be complete")
     n = g.n
@@ -345,27 +348,13 @@ def find_zero_sum_diam3_tree(g: ColoredGraph) -> FindReport:
         raise DomainError(f"need at least {guarantee.min_n(0)} vertices")
     holds, descr = guarantee.condition(n, census(g).minimum)
     basis = descr if holds else f"hypothesis not met: {descr}"
-    # the -1 star centres on the first vertex of most -1 edges, the +1
-    # star on the first of fewest; in K_n the star at a vertex of -1
-    # degree d weighs n-1 - 2d
-    deg_minus = [m.bit_count() for m in g.minus_masks()]
-    for d in (max(deg_minus), min(deg_minus)):
-        if abs(n - 1 - 2 * d) <= 1:
-            centre = deg_minus.index(d)
-            star = frozenset(canonical_edge(centre, x) for x in range(n) if x != centre)
-            return _validated(
-                EdgeSubgraph._unchecked(g, star),
-                is_diam3_tree,
-                f"{basis}; spanning star used directly",
-                0,
-            )
-    found = _double_star(g)
+    found = _diam3_tree(g.minus_masks(), n)
     if found is None:
         assert not holds, "a met hypothesis leaves a double star of |weight| <= 1"
         return FindReport(False, None, 0, basis, 0)
-    u, v, edges = found
+    route, edges = found
     return _validated(
-        EdgeSubgraph._unchecked(g, edges), is_diam3_tree, f"{basis}; double star on {u}-{v}", 0
+        EdgeSubgraph._unchecked(g, frozenset(edges)), is_diam3_tree, f"{basis}; {route}", 0
     )
 
 

@@ -17,7 +17,6 @@ their reports merge associatively.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from bisect import bisect_left
@@ -37,6 +36,7 @@ from .families import (
     HamiltonianPaths,
     PerfectMatchings,
     SpanningTrees,
+    stated,
 )
 from .graphs import ColoredGraph, EdgeSubgraph, binomial, complete_edges
 from .thresholds import GUARANTEES, decomposition_bound
@@ -103,6 +103,17 @@ def _graph_from_mask(n: int, edges: tuple, mask: int) -> ColoredGraph:
     return ColoredGraph._unchecked(n, edges, sign)
 
 
+def _minus_rows(n: int, edges: tuple, mask: int) -> tuple[int, ...]:
+    """Per vertex of K_n, the mask of its -1 neighbours in a colouring,
+    edges in canonical order: the graph's minus_masks(), read off the mask."""
+    minus = [0] * n
+    for i in finders._bits(mask):
+        u, v = edges[i]
+        minus[u] |= 1 << v
+        minus[v] |= 1 << u
+    return tuple(minus)
+
+
 def _edge_bits(n: int) -> list[list[int]]:
     """bit[u][v] = bit[v][u] = the bit of edge uv in a colouring mask of K_n."""
     bit = [[0] * n for _ in range(n)]
@@ -139,11 +150,6 @@ def _answer(finder, n: int, edges: tuple, mask: int) -> tuple:
     return (lambda _: rep.certificate), (rep.subgraph.edges if rep.found else ())
 
 
-def _answers(name: str):
-    """Candidates as a function of n: the one member of finders.<name>, looked up then."""
-    return lambda n: (partial(_answer, getattr(finders, name), n, complete_edges(n)),)
-
-
 def _seed_refusal(tree) -> str:
     return f"seed {sorted(tree)} is not a spanning tree"
 
@@ -163,6 +169,19 @@ def _tree_candidates(n: int) -> tuple:
         return _seed_refusal, seed(n, (e for i, e in enumerate(edges) if mask >> i & 1), edges, k)
 
     return minus_seed, lambda mask: minus_seed(full ^ mask), partial(_answer, finder, n, edges)
+
+
+def _diam3_candidates(n: int) -> tuple:
+    """The candidate of the diam3 theorem: the tree the finder's search
+    (finders._diam3_tree) picks from the colouring's -1 rows."""
+    edges = complete_edges(n)
+    search = finders._diam3_tree
+
+    def candidate(mask):
+        route, tree = search(_minus_rows(n, edges, mask), n) or ("no light diameter-3 tree", ())
+        return (lambda _: route), tree
+
+    return (candidate,)
 
 
 def _family_table(kind, candidates, n: int, budget: EnumerationBudget):
@@ -241,16 +260,9 @@ def _connected_table(n: int, budget: EnumerationBudget):
     vertices = set(range(n))
 
     def check(mask):
-        # per vertex, its -1 neighbours: x-u-y has one -1 edge exactly when
-        # u is a -1 neighbour of one of x and y but not of the other
-        minus = [0] * n
-        rest = mask
-        while rest:
-            low = rest & -rest
-            u, v = edges[low.bit_length() - 1]
-            minus[u] |= 1 << v
-            minus[v] |= 1 << u
-            rest ^= low
+        # x-u-y has one -1 edge exactly when u is a -1 neighbour of one of
+        # x and y but not of the other
+        minus = _minus_rows(n, edges, mask)
         for x, y, others, masks4 in pair_masks:
             if not (minus[x] ^ minus[y]) & others and not any(
                 (p & mask).bit_count() == 2 for p in masks4
@@ -293,9 +305,11 @@ def _connected_table(n: int, budget: EnumerationBudget):
 _CHECKS = {
     "tree": partial(_family_table, SpanningTrees, _tree_candidates),
     "connected": _connected_table,
-    "diam3": partial(_family_table, Diam3Trees, _answers("find_zero_sum_diam3_tree")),
+    "diam3": partial(_family_table, Diam3Trees, _diam3_candidates),
     "path-census": partial(
-        _family_table, HamiltonianPaths, _answers("find_zero_sum_spanning_path")
+        _family_table,
+        HamiltonianPaths,
+        lambda n: (partial(_answer, finders.find_zero_sum_spanning_path, n, complete_edges(n)),),
     ),
 }
 _CHECKS["path-decomposition"] = _CHECKS["path-census"]
@@ -333,14 +347,6 @@ def _check_chunk(bounds) -> TheoremReport:
     return _check_range(theorem, n, lo, hi, _worker_table)
 
 
-def _shown(b: int) -> str:
-    """b in digits or, too long for str(), by its size."""
-    try:
-        return str(b)
-    except ValueError:
-        return f"{'-' if b < 0 else ''}about 10^{math.log10(abs(b)):,.0f}"
-
-
 def exhaustive_theorem_check(
     theorem: str,
     n: int,
@@ -365,9 +371,12 @@ def exhaustive_theorem_check(
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     budget = budget or DEFAULT_BUDGET
     m = binomial(n, 2)
-    lo, hi = shard if shard is not None else (0, 1 << m)
+    if shard is None:
+        # the whole space of 2^m colourings, refused from m before it is built
+        budget.require("max_colorings", 1, "colourings to check", shift=m)
+    lo, hi = (0, 1 << m) if shard is None else shard
     if not (0 <= lo <= hi and (hi - 1).bit_length() <= m):
-        raise DomainError(f"shard [{_shown(lo)},{_shown(hi)}) outside colouring space [0,2^{m})")
+        raise DomainError(f"shard [{stated(lo)},{stated(hi)}) outside colouring space [0,2^{m})")
     budget.require("max_colorings", hi - lo, "colourings to check")
     start = time.perf_counter()
     # one table a call, built here, before any pool: its workers inherit it

@@ -354,7 +354,7 @@ def test_double_star_rule_matches_oracle_scan_on_every_k7_colouring():
     # member with 3 -1 edges; below the census hypothesis, so does the
     # public finder
     from zerosum.families import Diam3Trees
-    from zerosum.finders import _double_star, find_zero_sum_diam3_tree
+    from zerosum.finders import _diam3_tree, find_zero_sum_diam3_tree
     from zerosum.oracle import _census_met, _member_masks
 
     n = 7
@@ -364,7 +364,7 @@ def test_double_star_rule_matches_oracle_scan_on_every_k7_colouring():
     for mask in range(1 << binomial(n, 2)):
         exists = any((m & mask).bit_count() in light for m in masks)
         g = complete_from_mask(n, mask)
-        assert (_double_star(g) is not None) == exists, mask
+        assert (_diam3_tree(g.minus_masks(), n) is not None) == exists, mask
         if not met[mask.bit_count()]:
             assert find_zero_sum_diam3_tree(g).found == exists, mask
             below += 1

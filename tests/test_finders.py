@@ -21,7 +21,7 @@ from zerosum.extremal import (
 )
 from zerosum.families import Diam3Trees, HamiltonianPaths, SpanningTrees
 from zerosum.finders import (
-    _double_star,
+    _diam3_tree,
     _linear_forest,
     _short_zero_sum_path,
     check_zero_sum_matching,
@@ -475,19 +475,18 @@ def test_diam3_finder_k7():
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_double_star_matches_oracle_scan_on_every_colouring(n):
-    # with no hypothesis, the double-star rule finds a diameter-3 tree of
-    # |w| <= 1 exactly when the oracle's family-mask scan finds a member
-    # with (n-1)//2 or n//2 -1 edges, and so does the public finder
+    # with no hypothesis, the star and double-star rule finds a diameter-3
+    # tree of |w| <= 1 exactly when the oracle's family-mask scan finds a
+    # member with (n-1)//2 or n//2 -1 edges, and so does the public finder
     _, member_exists = _light_member_scan("diam3", n)
     for mask in range(1 << binomial(n, 2)):
         g = complete_from_mask(n, mask)
         exists = member_exists(mask)
-        star = _double_star(g)
-        assert (star is not None) == exists, mask
-        if star is not None:
-            u, v, edges = star
-            h = EdgeSubgraph._unchecked(g, edges)
-            assert (u, v) in edges and tree_diameter(h) <= 3 and abs(weight(h)) <= 1, mask
+        found = _diam3_tree(g.minus_masks(), n)
+        assert (found is not None) == exists, mask
+        if found is not None:
+            h = EdgeSubgraph._unchecked(g, frozenset(found[1]))
+            assert tree_diameter(h) <= 3 and abs(weight(h)) <= 1, mask
         assert find_zero_sum_diam3_tree(g).found == exists, mask
 
 

@@ -173,6 +173,22 @@ def test_shard_bounds_are_checked_without_building_the_space():
     assert peak < 1 << 20
 
 
+def test_whole_space_is_refused_without_building_it():
+    # with no shard, 2^C(20000,2) colourings are refused from C(20000,2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            exhaustive_theorem_check("tree", 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert str(err.value) == (
+        "about 10^60,202,989 colourings to check; "
+        "requires max_colorings >= about 10^60,202,989 (budget is 32,768)"
+    )
+
+
 def test_shard_bounds_past_the_space_or_too_long_to_print():
     space = 1 << binomial(5, 2)
     assert exhaustive_theorem_check("tree", 5, shard=(space - 1, space)).colourings == 1
@@ -458,7 +474,15 @@ def test_family_scan_checks_the_finder_member_itself(monkeypatch, theorem, fake)
     def lying_finder(g):
         return finders.FindReport(True, EdgeSubgraph._unchecked(g, fake(g)), 0, "fake", 0)
 
-    monkeypatch.setattr(finders, FINDERS[theorem], lying_finder)
+    def lying_search(minus, n):
+        # the diam3 scan runs the finder's search on the colouring's -1 rows
+        rows = [(u, v) for u, v in complete_edges(n) if minus[u] >> v & 1]
+        return "fake", fake(ColoredGraph.complete_with_minus(n, rows))
+
+    if theorem == "diam3":
+        monkeypatch.setattr(finders, "_diam3_tree", lying_search)
+    else:
+        monkeypatch.setattr(finders, FINDERS[theorem], lying_finder)
     report = exhaustive_theorem_check(theorem, 6, shard=(12345, 12345 + 64))
     assert report.hypothesis_met > 0 and report.confirmed == 0
     assert len(report.counterexamples) == report.hypothesis_met
@@ -472,6 +496,22 @@ def test_tree_scan_builds_no_graph(monkeypatch):
     monkeypatch.setattr(oracle, "_graph_from_mask", refuse)
     report = exhaustive_theorem_check("tree", 6)
     assert report.passed and report.hypothesis_met == report.confirmed > 0
+
+
+def test_diam3_scan_builds_no_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("graph built from a mask in the diam3 scan")
+
+    monkeypatch.setattr(oracle, "_graph_from_mask", refuse)
+    report = exhaustive_theorem_check("diam3", 6)
+    assert report.passed and report.hypothesis_met == report.confirmed > 0
+
+
+@pytest.mark.parametrize("n, step", [(5, 1), (7, 997)])
+def test_minus_rows_are_the_graph_minus_masks(n, step):
+    edges = complete_edges(n)
+    for mask in range(0, 1 << len(edges), step):
+        assert oracle._minus_rows(n, edges, mask) == complete_from_mask(n, mask).minus_masks()
 
 
 @pytest.mark.parametrize(
