@@ -5,10 +5,14 @@ spanning trees of a connected host, Hamiltonian paths of a complete host,
 and spanning trees of diameter at most 3 of a complete host.  Any two
 members are joined by a chain of single edge replacements that stays
 inside the family; walking such a chain moves the signed weight in steps
-of 0 or +-2, which is what makes weight interpolation work.
+of 0 or +-2, which is what makes weight interpolation work.  A chain is a
+generator chain(n, from_edges, to_edges) of (out, in) edge swaps: one walk
+(_walk) follows any of them on a colouring read through sign(e), and
+ExchangeChain and interpolate_traced build their members from the same
+swaps (_replay).
 
 Each family is an object bound to its host that carries its membership
-test, its chain walk, the EnumerationBudget field that caps its
+test, its chain, the EnumerationBudget field that caps its
 enumeration and the name of its census guarantee on K_n in
 thresholds.GUARANTEES.  Its facts about K_n live on the class, in one
 place: members(n, table), the generator of its members of K_n over a
@@ -26,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Union
 
@@ -34,6 +37,8 @@ from .errors import BudgetExceeded, DomainError
 from .graphs import (
     ColoredGraph,
     EdgeSubgraph,
+    UnionFind,
+    adjacency,
     binomial,
     canonical_edge,
     is_diam3_tree,
@@ -79,43 +84,21 @@ def _require_member(kind: FamilyKind, h: EdgeSubgraph, role: str) -> None:
 # --- spanning trees: matroid basis exchange ----------------------------------
 
 
-def _component_after_removal(edges: set, n: int, e: tuple[int, int]) -> set[int]:
-    """Vertex set of the component of e[0] in the tree minus e."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        if (u, v) != e:
-            adj[u].append(v)
-            adj[v].append(u)
-    comp = {e[0]}
-    queue = deque([e[0]])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in comp:
-                comp.add(y)
-                queue.append(y)
-    return comp
-
-
-def _tree_chain(t_from: EdgeSubgraph, t_to: EdgeSubgraph) -> Iterator[EdgeSubgraph]:
-    host = t_from.host
-    yield t_from
-    cur = set(t_from.edges)
-    target = t_to.edges
-    while True:
-        extra = sorted(cur - target)
-        if not extra:
-            return
-        e = extra[0]
-        comp = _component_after_removal(cur, host.n, e)
+def _tree_chain(n: int, from_edges, to_edges) -> Iterator[tuple]:
+    cur = set(from_edges)
+    target = frozenset(to_edges)
+    while cur != target:
+        e = min(cur - target)
         cur.discard(e)
-        # any target edge crossing the cut restores a spanning tree and
-        # strictly shrinks the symmetric difference
-        swap_in = min(
-            f for f in target - cur if (f[0] in comp) != (f[1] in comp)
-        )
+        # any target edge joining the two components of the tree minus e
+        # restores a spanning tree and strictly shrinks the symmetric
+        # difference
+        uf = UnionFind(n)
+        for u, v in cur:
+            uf.union(u, v)
+        swap_in = min(f for f in target - cur if uf.find(f[0]) != uf.find(f[1]))
         cur.add(swap_in)
-        yield EdgeSubgraph._unchecked(host, frozenset(cur))
+        yield e, swap_in
 
 
 def tree_exchange_chain(
@@ -129,18 +112,18 @@ def tree_exchange_chain(
         kind = SpanningTrees(t_from.host)
     _require_member(kind, t_from, "t_from")
     _require_member(kind, t_to, "t_to")
-    return ExchangeChain(tuple(_tree_chain(t_from, t_to)))
+    return ExchangeChain(tuple(_replay(kind, t_from, t_to)))
 
 
 # --- Hamiltonian paths: prefix-growing two-swap procedure ---------------------
 
 
-def path_sequence(h: EdgeSubgraph) -> list[int]:
-    """Vertex order of a Hamiltonian path, starting at its smaller endpoint."""
-    n = h.host.n
+def path_sequence(n: int, edges) -> list[int]:
+    """Vertex order of a Hamiltonian path on n vertices given by its
+    edges, starting at its smaller endpoint."""
     if n == 1:
         return [0]
-    adj = h.adjacency()
+    adj = adjacency(n, edges)
     ends = [v for v in range(n) if len(adj[v]) == 1]
     start = min(ends)
     seq = [start]
@@ -153,47 +136,26 @@ def path_sequence(h: EdgeSubgraph) -> list[int]:
     return seq
 
 
-def _hampath_chain(p_from: EdgeSubgraph, p_to: EdgeSubgraph) -> Iterator[EdgeSubgraph]:
-    host = p_from.host
-    n = host.n
-    yield p_from
-    if p_from.edges == p_to.edges or n <= 2:
-        return
-    target = path_sequence(p_to)
-    cur = path_sequence(p_from)
-    cur_edges = set(p_from.edges)
-
-    def snapshot():
-        return EdgeSubgraph._unchecked(host, frozenset(cur_edges))
-
+def _hampath_chain(n: int, from_edges, to_edges) -> Iterator[tuple]:
+    target = path_sequence(n, to_edges)
+    cur = path_sequence(n, from_edges)
     for k in range(n - 1):
         v = target[k]
         pos = cur.index(v)
         if pos == k:
             continue
-        if k == 0:
-            if pos == n - 1:
-                cur.reverse()
-                continue
-            # one swap moves v to an endpoint: cut before v, reattach the
-            # severed tail reversed at the current end
-            cur_edges.discard(canonical_edge(cur[pos - 1], cur[pos]))
-            cur_edges.add(canonical_edge(cur[pos - 1], cur[n - 1]))
-            cur = cur[:pos] + cur[pos:][::-1]
-            cur.reverse()
-            yield snapshot()
-            continue
         if pos < n - 1:
-            # swap (a): make v the far endpoint of the unmatched tail
-            cur_edges.discard(canonical_edge(cur[pos - 1], cur[pos]))
-            cur_edges.add(canonical_edge(cur[pos - 1], cur[n - 1]))
+            # swap (a): make v the far endpoint of the unmatched tail: cut
+            # before v, reattach the severed tail reversed at the current end
+            yield canonical_edge(cur[pos - 1], cur[pos]), canonical_edge(cur[pos - 1], cur[n - 1])
             cur = cur[:pos] + cur[pos:][::-1]
-            yield snapshot()
+        if k == 0:
+            # v now ends the path: read it from that end
+            cur.reverse()
+            continue
         # swap (b): flip the tail so v lands right after the matched prefix
-        cur_edges.discard(canonical_edge(cur[k - 1], cur[k]))
-        cur_edges.add(canonical_edge(cur[k - 1], cur[n - 1]))
+        yield canonical_edge(cur[k - 1], cur[k]), canonical_edge(cur[k - 1], cur[n - 1])
         cur = cur[:k] + cur[k:][::-1]
-        yield snapshot()
 
 
 def hampath_exchange_chain(p_from: EdgeSubgraph, p_to: EdgeSubgraph) -> ExchangeChain:
@@ -205,27 +167,27 @@ def hampath_exchange_chain(p_from: EdgeSubgraph, p_to: EdgeSubgraph) -> Exchange
     kind = HamiltonianPaths(p_from.host)
     _require_member(kind, p_from, "p_from")
     _require_member(kind, p_to, "p_to")
-    return ExchangeChain(tuple(_hampath_chain(p_from, p_to)))
+    return ExchangeChain(tuple(_replay(kind, p_from, p_to)))
 
 
 # --- diameter-3 trees: leaf migration between stars and double stars ---------
 
 
-def _classify_diam3(h: EdgeSubgraph):
-    """Return ("star", centres) or ("double", (u, leaves_u), (v, leaves_v)).
+def _classify_diam3(n: int, edges):
+    """Return ("star", centres) or ("double", (u, leaves_u), (v, leaves_v))
+    for the tree of K_n with these edges.
 
     centres is the set of valid star centres (unique for n >= 3).
     """
-    n = h.host.n
     if n <= 2:
         return ("star", set(range(n)))
-    adj = h.adjacency()
+    adj = adjacency(n, edges)
     internal = sorted(v for v in range(n) if len(adj[v]) >= 2)
     if len(internal) == 1:
         return ("star", {internal[0]})
     if len(internal) == 2:
         u, v = internal
-        if canonical_edge(u, v) not in h.edges:
+        if v not in adj[u]:
             raise DomainError("tree has diameter greater than 3")
         leaves_u = sorted(x for x in adj[u] if x != v)
         leaves_v = sorted(x for x in adj[v] if x != u)
@@ -233,27 +195,16 @@ def _classify_diam3(h: EdgeSubgraph):
     raise DomainError("tree has diameter greater than 3")
 
 
-def _diam3_chain(t_from: EdgeSubgraph, t_to: EdgeSubgraph) -> Iterator[EdgeSubgraph]:
-    host = t_from.host
-    yield t_from
-    if t_from.edges == t_to.edges:
+def _diam3_chain(n: int, from_edges, to_edges) -> Iterator[tuple]:
+    if set(from_edges) == set(to_edges):
         return
-    cur_edges = set(t_from.edges)
-
-    def apply(swaps):
-        for old, new in swaps:
-            cur_edges.discard(old)
-            cur_edges.add(new)
-            yield EdgeSubgraph._unchecked(host, frozenset(cur_edges))
-
-    cls_from = _classify_diam3(t_from)
-    cls_to = _classify_diam3(t_to)
+    cls_from = _classify_diam3(n, from_edges)
+    cls_to = _classify_diam3(n, to_edges)
 
     # middle star centre, chosen so that the final phase is a plain leaf
     # migration out of it
     if cls_to[0] == "star":
         c2 = min(cls_to[1])
-        final_leaves = None
     else:
         (x, leaves_x), (y, leaves_y) = cls_to[1], cls_to[2]
         heavy, light = (x, y) if len(leaves_x) >= len(leaves_y) else (y, x)
@@ -278,23 +229,19 @@ def _diam3_chain(t_from: EdgeSubgraph, t_to: EdgeSubgraph) -> Iterator[EdgeSubgr
             c1 = v if len(leaves_u) <= len(leaves_v) else u
         other = u if c1 == v else v
         other_leaves = leaves_u if c1 == v else leaves_v
-        yield from apply(
-            (canonical_edge(z, other), canonical_edge(z, c1)) for z in other_leaves
-        )
+        for z in other_leaves:
+            yield canonical_edge(z, other), canonical_edge(z, c1)
 
     # phase 2: relocate the star centre
     if c1 != c2:
-        yield from apply(
-            (canonical_edge(z, c1), canonical_edge(z, c2))
-            for z in range(host.n)
-            if z not in (c1, c2)
-        )
+        for z in range(n):
+            if z not in (c1, c2):
+                yield canonical_edge(z, c1), canonical_edge(z, c2)
 
     # phase 3: split the star at c2 back into the target double star
     if cls_to[0] == "double":
-        yield from apply(
-            (canonical_edge(z, c2), canonical_edge(z, final_other)) for z in final_leaves
-        )
+        for z in final_leaves:
+            yield canonical_edge(z, c2), canonical_edge(z, final_other)
 
 
 def diam3_exchange_chain(t_from: EdgeSubgraph, t_to: EdgeSubgraph) -> ExchangeChain:
@@ -306,7 +253,7 @@ def diam3_exchange_chain(t_from: EdgeSubgraph, t_to: EdgeSubgraph) -> ExchangeCh
     kind = Diam3Trees(t_from.host)
     _require_member(kind, t_from, "t_from")
     _require_member(kind, t_to, "t_to")
-    chain = ExchangeChain(tuple(_diam3_chain(t_from, t_to)))
+    chain = ExchangeChain(tuple(_replay(kind, t_from, t_to)))
     assert chain.replacements <= max(0, 2 * (t_from.host.n - 2))
     return chain
 
@@ -640,6 +587,38 @@ def member_of(kind: FamilyKind, h: EdgeSubgraph) -> bool:
 # --- interpolation ------------------------------------------------------------
 
 
+def _walk(chain, n: int, lo, hi, sign) -> tuple[frozenset, int]:
+    """Walk chain(n, lo, hi), the (out, in) edge swaps from the member with
+    edges lo (weight <= 0) to the one with edges hi (weight >= 0), and stop
+    at the first member of absolute weight at most 1: (its edges,
+    replacements walked).  The weight is read through sign(e), the +-1
+    colour of a canonical edge, and moved by each swap, never recounted.
+    Steps change it by 0 or +-2 and all weights share the parity of n-1,
+    so the walk cannot skip past zero."""
+    cur = set(lo)
+    w = sum(map(sign, cur))
+    swaps = chain(n, lo, hi)
+    replacements = 0
+    while abs(w) > 1:
+        out, new = next(swaps)
+        cur.discard(out)
+        cur.add(new)
+        w += sign(new) - sign(out)
+        replacements += 1
+    return frozenset(cur), replacements
+
+
+def _replay(kind: FamilyKind, h_from: EdgeSubgraph, h_to: EdgeSubgraph) -> Iterator[EdgeSubgraph]:
+    """The members the chain of kind walks through from h_from to h_to,
+    h_from first, each built from the one before by its edge swap."""
+    yield h_from
+    cur = set(h_from.edges)
+    for out, new in kind.chain(kind.host.n, h_from.edges, h_to.edges):
+        cur.discard(out)
+        cur.add(new)
+        yield EdgeSubgraph._unchecked(h_from.host, frozenset(cur))
+
+
 def interpolate_traced(
     kind: FamilyKind,
     h_lo: EdgeSubgraph,
@@ -647,11 +626,12 @@ def interpolate_traced(
     collect: list | None = None,
 ) -> tuple[EdgeSubgraph, int]:
     """Walk the chain from h_lo to h_hi and stop at the first member of
-    absolute weight at most 1.  Returns (member, replacements walked).
+    absolute weight at most 1.  Returns (member, replacements walked);
+    collect, when given, receives every member walked through, the
+    returned one last.
 
     Accepts the endpoints in either order; requires one non-positive and
-    one non-negative weight.  Steps change the weight by 0 or +-2 and all
-    weights share the parity of n-1, so the walk cannot skip past zero.
+    one non-negative weight.
     """
     _require_member(kind, h_lo, "h_lo")
     _require_member(kind, h_hi, "h_hi")
@@ -663,16 +643,11 @@ def interpolate_traced(
         raise DomainError(f"no endpoint with weight <= 0: weights are {w_lo}, {w_hi}")
     if w_hi < 0:
         raise DomainError(f"no endpoint with weight >= 0: weights are {w_lo}, {w_hi}")
-    replacements = 0
-    for step in kind.chain(h_lo, h_hi):
-        if collect is not None:
-            collect.append(step)
-        w = weight(step)
-        if abs(w) <= 1:
-            assert w == 0 if (kind.host.n - 1) % 2 == 0 else abs(w) == 1
-            return step, replacements
-        replacements += 1
-    raise AssertionError("chain ended without crossing zero")  # unreachable
+    host = kind.host
+    edges, replacements = _walk(kind.chain, host.n, h_lo.edges, h_hi.edges, host.sign.__getitem__)
+    if collect is not None:
+        collect.extend(itertools.islice(_replay(kind, h_lo, h_hi), replacements + 1))
+    return EdgeSubgraph._unchecked(h_lo.host, edges), replacements
 
 
 def interpolate(kind: FamilyKind, h_lo: EdgeSubgraph, h_hi: EdgeSubgraph) -> EdgeSubgraph:

@@ -2,13 +2,15 @@
 
 The finders answer every colouring; the census condition of the matching
 guarantee, and for spanning trees the host class, only writes the
-certificate.  The spanning-tree and spanning-path
-finders extract monochromatic seed subgraphs, complete them to family
-members and walk the interpolation chain between two whose weights straddle
-zero.  The diameter-3 and short-path finders are pure searches over the
-host's per-vertex -1 masks (_diam3_tree, _short_zero_sum_path), which the
-oracle runs on the masks it reads off a colouring.  Every successful
-report is re-validated against the host signs before it is returned.
+certificate.  The search behind each guarantee's finder reads the
+colouring alone, so that the oracle runs it on what it reads off a
+colouring mask.  The spanning-tree and spanning-path searches read edge
+colours through sign(e), and settle seed members (_tree_seed;
+_spanning_path) in one step (_settle): a light seed directly, otherwise
+the member the exchange-chain walk from the lightest seed to the
+heaviest stops at.  The diameter-3 and short-path searches (_diam3_tree,
+_short_zero_sum_path) read per-vertex -1 masks.  Every successful report
+is re-validated against the host signs.
 """
 
 from __future__ import annotations
@@ -16,14 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .decompositions import hamilton_cycle_decomposition, hamilton_path_decomposition
+from .decompositions import (
+    _zigzag_parts,
+    hamilton_cycle_decomposition,  # noqa: F401  (bench/spans.py wraps it by its name here)
+    hamilton_path_decomposition,  # noqa: F401  (as above)
+)
 from .errors import DomainError
 from .families import (
     DEFAULT_BUDGET,
     EnumerationBudget,
-    HamiltonianPaths,
-    SpanningTrees,
-    interpolate_traced,
+    _hampath_chain,
+    _tree_chain,
+    _walk,
+    interpolate_traced,  # noqa: F401  (as above)
 )
 from .graphs import (
     COMPLETE,
@@ -32,6 +39,7 @@ from .graphs import (
     UnionFind,
     canonical_edge,
     census,
+    complete_edges,
     greedy_forest,
     host_class_check,
     is_diam3_tree,
@@ -92,20 +100,22 @@ def _validated(sub: EdgeSubgraph, predicate, certificate: str, replacements: int
     return FindReport(True, sub, w, certificate, replacements)
 
 
-def _settle(kind, weights, seed, predicate, direct_text, walked_text) -> Optional[FindReport]:
-    """Report from seed members of the given weights, seed(i) building the
-    i-th: the first seed with |w| <= 1 directly, otherwise the member the
-    chain walk from the lightest seed to the heaviest stops at.  None when
-    the seed weights do not straddle zero."""
-    for i, w in enumerate(weights):
+def _settle(chain, n: int, seeds, sign) -> Optional[tuple]:
+    """(edges, replacements) of a member of |weight| <= 1 from seed members
+    of one family on n vertices, each given by its edges and weighed
+    through sign(e): the first light seed itself (0 replacements),
+    otherwise the member the walk along chain from the lightest seed to
+    the heaviest stops at (see families._walk).  None when the seed weights
+    do not straddle zero."""
+    weights = [sum(map(sign, seed)) for seed in seeds]
+    for seed, w in zip(seeds, weights):
         if abs(w) <= 1:
-            return _validated(seed(i), predicate, direct_text, 0)
-    lo = min(range(len(weights)), key=weights.__getitem__)
-    hi = max(range(len(weights)), key=weights.__getitem__)
+            return seed, 0
+    lo = weights.index(min(weights))
+    hi = weights.index(max(weights))
     if not weights[lo] < 0 < weights[hi]:
         return None
-    member, reps = interpolate_traced(kind, seed(lo), seed(hi))
-    return _validated(member, predicate, walked_text, reps)
+    return _walk(chain, n, seeds[lo], seeds[hi], sign)
 
 
 def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindReport:
@@ -136,31 +146,24 @@ def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindRep
         basis = descr if holds else f"hypothesis not met: {descr}"
     k = guarantee.k(n)
     edges, sign = g.edges, g.sign
-    trees = [
-        EdgeSubgraph._unchecked(
-            g, frozenset(_tree_seed(n, (e for e in edges if sign[e] == s), edges, k))
-        )
-        for s in (-1, 1)
-    ]
-    report = _settle(
-        SpanningTrees(g),
-        [weight(t) for t in trees],
-        trees.__getitem__,
-        is_spanning_tree,
-        f"{basis}; direct completion",
-        f"{basis}; interpolated",
-    )
-    if report is None:
+    seeds = [_tree_seed(n, (e for e in edges if sign[e] == s), edges, k) for s in (-1, 1)]
+    found = _settle(_tree_chain, n, seeds, sign.__getitem__)
+    if found is None:
         assert not holds, "seed trees of a met hypothesis straddle zero"
         return FindReport(False, None, 0, basis, 0)
-    return report
+    tree, reps = found
+    how = "interpolated" if reps else "direct completion"
+    return _validated(
+        EdgeSubgraph._unchecked(g, frozenset(tree)), is_spanning_tree, f"{basis}; {how}", reps
+    )
 
 
 # --- spanning paths -----------------------------------------------------------
 
 
-def _linear_forest(g: ColoredGraph, sign: int, k: int) -> Optional[frozenset]:
-    """A k-edge linear forest inside one colour class, or None.
+def _linear_forest(sign, n: int, s: int, k: int) -> Optional[frozenset]:
+    """A k-edge linear forest inside the colour class s of K_n, colours
+    read through sign(e), or None.
 
     One greedy pass over the class's edges, lowest sum of endpoint class
     degrees first (ties in canonical order): an edge is taken when both
@@ -168,14 +171,14 @@ def _linear_forest(g: ColoredGraph, sign: int, k: int) -> Optional[frozenset]:
     path.  end[v] is the other end of the path that v ends, v itself while
     v is isolated, so no union-find is needed.
     """
-    pool = [e for e in g.edges if g.sign[e] == sign]
-    deg = [0] * g.n
+    pool = [e for e in complete_edges(n) if sign(e) == s]
+    deg = [0] * n
     for u, v in pool:
         deg[u] += 1
         deg[v] += 1
     pool.sort(key=lambda e: (deg[e[0]] + deg[e[1]], e))
-    forest_deg = [0] * g.n
-    end = list(range(g.n))
+    forest_deg = [0] * n
+    end = list(range(n))
     chosen = []
     for u, v in pool:
         if len(chosen) == k:
@@ -189,12 +192,11 @@ def _linear_forest(g: ColoredGraph, sign: int, k: int) -> Optional[frozenset]:
     return frozenset(chosen) if len(chosen) == k else None
 
 
-def _linear_forest_to_hampath(g: ColoredGraph, forest: frozenset) -> EdgeSubgraph:
-    """Complete a linear forest of a complete host to a Hamiltonian path:
-    pair each path's ends with _linear_forest's end[] rule, then join the
-    paths (a leftover vertex is one on its own) lowest end first, each
-    one's far end to the next one's lowest."""
-    n = g.n
+def _linear_forest_to_hampath(n: int, forest: frozenset) -> frozenset:
+    """The edges of a Hamiltonian path of K_n through a linear forest: pair
+    each path's ends with _linear_forest's end[] rule, then join the paths
+    (a leftover vertex is one on its own) lowest end first, each one's far
+    end to the next one's lowest."""
     deg = [0] * n
     end = list(range(n))
     for u, v in forest:
@@ -209,76 +211,78 @@ def _linear_forest_to_hampath(g: ColoredGraph, forest: frozenset) -> EdgeSubgrap
             if tail >= 0:
                 edges.add(canonical_edge(tail, v))
             tail = end[v]
-    return EdgeSubgraph._unchecked(g, frozenset(edges))
+    return frozenset(edges)
+
+
+def _spanning_path(sign, n: int) -> Optional[tuple]:
+    """The search behind find_zero_sum_spanning_path, reading a colouring of
+    K_n, n >= 2, through sign(e) alone: (how, edges, replacements) of the
+    first Hamiltonian path with |weight| <= 1 it meets, or None when the
+    census route finds no half-sized linear forest in a colour class.
+
+    The decomposition route settles (see _settle) the zig-zag parts of
+    K_n: its spanning paths (n even) or its spanning cycles (n odd), each
+    cycle trimmed by its first edge, in sorted order, of its weight's sign.
+    When every part sits strictly on one side, the census route settles
+    the completions of the greedy half-sized linear forests of the two
+    colour classes."""
+    cycles = n % 2 == 1
+    parts = _zigzag_parts(n, cycles)[1]
+    if cycles:
+        # n is odd, so no cycle weighs 0; dropping the first edge of its
+        # weight's sign moves a cycle's weight one step toward zero
+        seeds = []
+        for part in parts:
+            s = 1 if sum(map(sign, part)) > 0 else -1
+            cut = next(j for j, e in enumerate(part) if sign(e) == s)
+            seeds.append(part[:cut] + part[cut + 1 :])
+        route, direct = "cycle-decomposition", "cycle-decomposition part trimmed by one edge"
+    else:
+        seeds = parts
+        route, direct = "path-decomposition", "path-decomposition part used directly"
+    found = _settle(_hampath_chain, n, seeds, sign)
+    if found is None:
+        k = GUARANTEES["path-census", "complete"].k(n)
+        forests = [_linear_forest(sign, n, s, k) for s in (-1, 1)]
+        if None in forests:
+            return None
+        seeds = [_linear_forest_to_hampath(n, f) for f in forests]
+        found = _settle(_hampath_chain, n, seeds, sign)
+        assert found is not None, "census-route seed paths straddle zero"
+        route, direct = "census-route", "census-route completion used directly"
+    edges, reps = found
+    return (f"{route} interpolation" if reps else direct), edges, reps
 
 
 def find_zero_sum_spanning_path(g: ColoredGraph) -> FindReport:
-    """Hamiltonian path with |weight| <= 1 of a complete host.
+    """Hamiltonian path with |weight| <= 1 of a complete host, as
+    _spanning_path picks it from the host's signs.
 
-    Tries the decomposition route first: split K_n into spanning paths
-    (n even) or spanning cycles (n odd, each trimmed by one edge of its
-    weight's sign), use a part directly if it can be, otherwise
-    interpolate between the lowest- and highest-weight parts.  When every
-    part sits strictly on one side, falls back to the census route:
-    half-sized monochromatic linear forests, completion, interpolation.
-    Below the census threshold its certificates start with the threshold
-    text, and found=False there carries no proof that no such path exists:
-    from n = 11 the greedy linear forest can fall short of a class that
-    holds a half-sized one, e.g. K_11 with the -1 class {0-4, 3-7, 4-8,
-    4-9, 7-8, 7-9, 8-9} gets found=False, yet 0-4-9-8-7-3-1-2-5-6-10
-    weighs 0.
+    Below the census threshold the census route's certificates start with
+    the threshold text, and found=False there carries no proof that no
+    such path exists: from n = 11 the greedy linear forest can fall short
+    of a class that holds a half-sized one, e.g. K_11 with the -1 class
+    {0-4, 3-7, 4-8, 4-9, 7-8, 7-9, 8-9} gets found=False, yet
+    0-4-9-8-7-3-1-2-5-6-10 weighs 0.
     """
     if not g.is_complete:
         raise DomainError("host must be complete")
     n = g.n
     if n < 2:
         raise DomainError("need at least 2 vertices")
-    kind = HamiltonianPaths(g)
-
-    if n % 2 == 0:
-        route = "path-decomposition"
-        parts = hamilton_path_decomposition(n, host=g).parts
-        weights = [weight(p) for p in parts]
-        seed = parts.__getitem__
-        direct = "path-decomposition part used directly"
-    else:
-        route = "cycle-decomposition"
-        parts = hamilton_cycle_decomposition(n, host=g).parts
-        # n is odd, so no cycle weighs 0; dropping the first edge of its
-        # weight's sign moves a cycle's weight one step toward zero
-        cycle_weights = [weight(p) for p in parts]
-        weights = [w - 1 if w > 0 else w + 1 for w in cycle_weights]
-
-        def seed(i):
-            s = 1 if cycle_weights[i] > 0 else -1
-            edges = parts[i].edges
-            drop = next(e for e in sorted(edges) if g.sign[e] == s)
-            return EdgeSubgraph._unchecked(g, edges - {drop})
-
-        direct = "cycle-decomposition part trimmed by one edge"
-    report = _settle(kind, weights, seed, is_hamiltonian_path, direct, f"{route} interpolation")
-    if report is not None:
-        return report
-
-    guarantee = GUARANTEES["path-census", "complete"]
-    holds, text = guarantee.condition(n, census(g).minimum)
-    forests = [_linear_forest(g, s, guarantee.k(n)) for s in (-1, 1)]
-    if None in forests:
-        why = "census threshold met but no half-sized linear forest found" if holds else text
-        failed = f"{route} route failed: all part weights one-signed"
-        return FindReport(False, None, 0, f"{failed}; {why}", 0)
-    prefix = "" if holds else f"{text}; "
-    paths = [_linear_forest_to_hampath(g, f) for f in forests]
-    report = _settle(
-        kind,
-        [weight(p) for p in paths],
-        paths.__getitem__,
-        is_hamiltonian_path,
-        f"{prefix}census-route completion used directly",
-        f"{prefix}census-route interpolation",
-    )
-    assert report is not None, "census-route seed paths straddle zero"
-    return report
+    found = _spanning_path(g.sign.__getitem__, n)
+    if found is None or found[0].startswith("census-route"):
+        # the census condition writes only the census route's certificates
+        holds, text = GUARANTEES["path-census", "complete"].condition(n, census(g).minimum)
+        if found is None:
+            why = "census threshold met but no half-sized linear forest found" if holds else text
+            route = "cycle-decomposition" if n % 2 else "path-decomposition"
+            failed = f"{route} route failed: all part weights one-signed"
+            return FindReport(False, None, 0, f"{failed}; {why}", 0)
+        if not holds:
+            found = (f"{text}; {found[0]}",) + found[1:]
+    how, edges, reps = found
+    return _validated(EdgeSubgraph._unchecked(g, frozenset(edges)), is_hamiltonian_path, how, reps)
 
 
 # --- diameter-3 trees ---------------------------------------------------------

@@ -31,6 +31,15 @@ def complete_edges(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
+def adjacency(n: int, edges) -> list[list[int]]:
+    """adj[v] lists the neighbours of v, for v < n, through edges."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 class UnionFind:
     """Array-based disjoint sets with path halving; used for forest tests."""
 
@@ -215,11 +224,7 @@ class EdgeSubgraph:
         return self
 
     def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.host.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        return adjacency(self.host.n, self.edges)
 
     def __eq__(self, other):
         if not isinstance(other, EdgeSubgraph):

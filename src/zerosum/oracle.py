@@ -4,11 +4,13 @@ Enumerates whole families (spanning trees, Hamiltonian paths,
 diameter-3 trees, perfect matchings) and iterates entire colouring
 spaces as sign bitmasks over the canonical edge order.  Each theorem
 has one check, built once per call, that one loop runs on every
-colouring meeting the hypothesis.  A family check tests every candidate
-the constructive finder hands over against the oracle's own table of
-the family's members, and its weight against the colouring; the
-connected check tests each vertex pair's short paths on its own masks,
-then the path the finder's search returns.
+colouring meeting the hypothesis.  Every check runs the finder's own
+search on what it reads off the mask, the per-vertex -1 rows or the
+sign of an edge, so no colouring is built into a graph.  A family check
+tests every candidate the search hands over against the oracle's own
+table of the family's members, and its weight against the colouring;
+the connected check tests each vertex pair's short paths on its own
+masks, then the path the finder's search returns.
 
 Enumerations refuse instead of sampling when a budget would be
 exceeded.  Colouring ranges shard cleanly: shards share nothing and
@@ -36,6 +38,7 @@ from .families import (
     HamiltonianPaths,
     PerfectMatchings,
     SpanningTrees,
+    _tree_chain,
     stated,
 )
 from .graphs import ColoredGraph, EdgeSubgraph, binomial, complete_edges
@@ -96,13 +99,6 @@ class TheoremReport:
         return not self.counterexamples
 
 
-def _graph_from_mask(n: int, edges: tuple, mask: int) -> ColoredGraph:
-    sign = {}
-    for i, e in enumerate(edges):
-        sign[e] = -1 if (mask >> i) & 1 else 1
-    return ColoredGraph._unchecked(n, edges, sign)
-
-
 def _minus_rows(n: int, edges: tuple, mask: int) -> tuple[int, ...]:
     """Per vertex of K_n, the mask of its -1 neighbours in a colouring,
     edges in canonical order: the graph's minus_masks(), read off the mask."""
@@ -143,32 +139,36 @@ def _census_met(theorem: str, n: int) -> list[bool]:
     return [guarantee.holds(min(e, m - e), bound) for e in range(m + 1)]
 
 
-def _answer(finder, n: int, edges: tuple, mask: int) -> tuple:
-    """The finder's member for a colouring, run on its graph, as a
-    candidate: () when it reports none, refused with its certificate."""
-    rep = finder(_graph_from_mask(n, edges, mask))
-    return (lambda _: rep.certificate), (rep.subgraph.edges if rep.found else ())
-
-
-def _seed_refusal(tree) -> str:
-    return f"seed {sorted(tree)} is not a spanning tree"
+def _mask_signs(n: int):
+    """signs(mask), the function sign(e) that reads the +-1 colour of each
+    canonical edge e of K_n off a colouring mask."""
+    index = {e: i for i, e in enumerate(complete_edges(n))}
+    return lambda mask: lambda e: 1 - 2 * (mask >> index[e] & 1)
 
 
 def _tree_candidates(n: int) -> tuple:
     """The candidates of the tree theorem, in the order tried: the finder's
     seeds through the colouring's -1 and then its +1 edges, read off the
-    mask bits in canonical order, then the tree the finder interpolates
-    between them (on K_3..K_7 the seeds always settle)."""
+    mask bits in canonical order, then the tree that the finder's settle
+    step (finders._settle) walks to between them (on K_3..K_7 the seeds
+    always settle)."""
     edges = complete_edges(n)
     full = (1 << len(edges)) - 1
     k = GUARANTEES["tree", "complete"].k(n)
-    seed = finders._tree_seed
-    finder = finders.find_zero_sum_spanning_tree
+    seed, settle = finders._tree_seed, finders._settle
+    signs = _mask_signs(n)
 
     def minus_seed(mask):
-        return _seed_refusal, seed(n, (e for i, e in enumerate(edges) if mask >> i & 1), edges, k)
+        tree = seed(n, (e for i, e in enumerate(edges) if mask >> i & 1), edges, k)
+        return (lambda t: f"seed {sorted(t)} is not a spanning tree"), tree
 
-    return minus_seed, lambda mask: minus_seed(full ^ mask), partial(_answer, finder, n, edges)
+    def walked(mask):
+        seeds = [minus_seed(mask)[1], minus_seed(full ^ mask)[1]]
+        found = settle(_tree_chain, n, seeds, signs(mask))
+        tree = found[0] if found else ()
+        return (lambda t: f"interpolated tree {sorted(t)} is not a light spanning tree"), tree
+
+    return minus_seed, lambda mask: minus_seed(full ^ mask), walked
 
 
 def _diam3_candidates(n: int) -> tuple:
@@ -180,6 +180,19 @@ def _diam3_candidates(n: int) -> tuple:
     def candidate(mask):
         route, tree = search(_minus_rows(n, edges, mask), n) or ("no light diameter-3 tree", ())
         return (lambda _: route), tree
+
+    return (candidate,)
+
+
+def _path_candidates(n: int) -> tuple:
+    """The candidate of the path theorems: the path that the finder's search
+    (finders._spanning_path) picks from the colouring's signs."""
+    search = finders._spanning_path
+    signs = _mask_signs(n)
+
+    def candidate(mask):
+        how, path, _ = search(signs(mask), n) or ("no half-sized linear forest", (), 0)
+        return (lambda _: how), path
 
     return (candidate,)
 
@@ -306,11 +319,7 @@ _CHECKS = {
     "tree": partial(_family_table, SpanningTrees, _tree_candidates),
     "connected": _connected_table,
     "diam3": partial(_family_table, Diam3Trees, _diam3_candidates),
-    "path-census": partial(
-        _family_table,
-        HamiltonianPaths,
-        lambda n: (partial(_answer, finders.find_zero_sum_spanning_path, n, complete_edges(n)),),
-    ),
+    "path-census": partial(_family_table, HamiltonianPaths, _path_candidates),
 }
 _CHECKS["path-decomposition"] = _CHECKS["path-census"]
 THEOREMS = tuple(_CHECKS)

@@ -339,7 +339,7 @@ def test_linear_forest_constructor_on_every_7_vertex_colour_class():
             continue
         minus = tuple(e for i, e in enumerate(edges) if (mask >> i) & 1)
         g = ColoredGraph._unchecked(7, minus, dict.fromkeys(minus, -1))
-        assert _linear_forest(g, -1, k) is not None, mask
+        assert _linear_forest(lambda e: g.sign.get(e, 1), 7, -1, k) is not None, mask
         checked += 1
     assert checked == sum(binomial(21, e) for e in range(7, 15))
 

@@ -5,14 +5,7 @@ from zerosum.decompositions import (
     hamilton_path_decomposition,
 )
 from zerosum.errors import DomainError
-from zerosum.graphs import (
-    ColoredGraph,
-    EdgeSubgraph,
-    binomial,
-    complete_edges,
-    is_hamiltonian_path,
-    weight,
-)
+from zerosum.graphs import EdgeSubgraph, binomial, is_hamiltonian_path
 
 
 def _check_partition(parts, n):
@@ -71,21 +64,3 @@ def test_deterministic_output():
     assert a.orders == b.orders
     assert [p.edges for p in a.parts] == [p.edges for p in b.parts]
 
-
-def test_host_reuse():
-    # two colourings of one K_n, asked for in turn: each call's parts
-    # belong to its own host and weigh by that host's -1 edges
-    for decompose, n in [(hamilton_path_decomposition, 6), (hamilton_cycle_decomposition, 7)]:
-        minus_sets = [{(0, 1)}, {e for e in complete_edges(n) if e[0] == 0}]
-        hosts = [ColoredGraph.complete_with_minus(n, minus) for minus in minus_sets]
-        for g, minus in zip(hosts + hosts, minus_sets + minus_sets):
-            dec = decompose(n, host=g)
-            assert all(p.host is g for p in dec.parts)
-            assert [weight(p) for p in dec.parts] == [
-                len(p.edges) - 2 * len(p.edges & minus) for p in dec.parts
-            ]
-        assert [p.edges for p in decompose(n, host=hosts[0]).parts] == [
-            p.edges for p in decompose(n).parts
-        ]
-        with pytest.raises(DomainError):
-            decompose(n, host=ColoredGraph.complete(n + 2))

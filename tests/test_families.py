@@ -149,7 +149,7 @@ def test_hampath_chain_requires_complete_host():
 def test_path_sequence_reconstruction():
     g = ColoredGraph.complete(6)
     p = path_of(g, [3, 0, 5, 1, 4, 2])
-    seq = path_sequence(p)
+    seq = path_sequence(g.n, p.edges)
     assert path_of(g, seq).edges == p.edges
     assert seq[0] < seq[-1]
 
@@ -290,6 +290,10 @@ def test_interpolated_chain_is_valid_sample():
                 assert abs(weight(z)) <= 1
                 assert weight(z) % 2 == (n - 1) % 2
                 ExchangeChain(tuple(steps)).validate(kind)
+                # the walk keeps its weight from the swaps alone: the member
+                # it stops at is the first the recounted weights call light
+                assert z == steps[-1] and reps == len(steps) - 1
+                assert all(abs(weight(h)) > 1 for h in steps[:-1])
                 if isinstance(kind, Diam3Trees):
                     assert reps <= 2 * (n - 2)
                 if isinstance(kind, HamiltonianPaths):

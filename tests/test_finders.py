@@ -343,14 +343,15 @@ def test_linear_forest_constructor_matches_exhaustive_search(n):
     bound = spanning_path_threshold(n) if n >= 3 else 0
     for mask in range(1 << binomial(n, 2)):
         g = complete_from_mask(n, mask)
+        signs = g.sign.__getitem__
         for sign in (-1, 1):
-            forest = _linear_forest(g, sign, k)
+            forest = _linear_forest(signs, n, sign, k)
             assert (forest is not None) == (_find_linear_forest(g, sign, k) is not None), mask
             if forest is not None:
                 assert len(forest) == k and all(g.sign[e] == sign for e in forest)
                 assert is_linear_forest(EdgeSubgraph._unchecked(g, forest))
         if census(g).minimum > bound:
-            assert _linear_forest(g, -1, k) is not None and _linear_forest(g, 1, k) is not None
+            assert all(_linear_forest(signs, n, sign, k) is not None for sign in (-1, 1))
 
 
 @pytest.mark.parametrize("n", [13, 14, 15, 16, 20, 25, 30, 40])

@@ -328,11 +328,16 @@ def test_connected_counterexample_records_unchanged(n):
     ]
 
 
-def test_connected_scan_builds_no_graph(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("graph built from a mask in the connected scan")
+def _refuse_graphs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built in a scan")
 
-    monkeypatch.setattr(oracle, "_graph_from_mask", refuse)
+    monkeypatch.setattr(ColoredGraph, "__init__", refuse)
+    monkeypatch.setattr(ColoredGraph, "_unchecked", refuse)
+
+
+def test_connected_scan_builds_no_graph(monkeypatch):
+    _refuse_graphs(monkeypatch)
     report = exhaustive_theorem_check("connected", 6)
     assert report.passed and report.hypothesis_met == report.confirmed > 0
 
@@ -392,14 +397,13 @@ def _finder_route(theorem, n, lo, hi):
     colouring and trusts its report."""
     met = oracle._census_met(theorem, n)
     finder = getattr(finders, FINDERS[theorem])
-    edges = complete_edges(n)
     hypothesis_met = confirmed = 0
     failed = []
     for mask in range(lo, hi):
         if not met[mask.bit_count()]:
             continue
         hypothesis_met += 1
-        rep = finder(oracle._graph_from_mask(n, edges, mask))
+        rep = finder(complete_from_mask(n, mask))
         if rep.found and abs(rep.weight) <= 1:
             confirmed += 1
         else:
@@ -471,18 +475,20 @@ def test_family_scan_checks_the_finder_member_itself(monkeypatch, theorem, fake)
     # each fake reports a zero-weight member it has not got: a subgraph
     # outside the family, or a member that is not light; every met
     # colouring of the shard must be refused by the oracle's own check
-    def lying_finder(g):
-        return finders.FindReport(True, EdgeSubgraph._unchecked(g, fake(g)), 0, "fake", 0)
-
     def lying_search(minus, n):
         # the diam3 scan runs the finder's search on the colouring's -1 rows
         rows = [(u, v) for u, v in complete_edges(n) if minus[u] >> v & 1]
         return "fake", fake(ColoredGraph.complete_with_minus(n, rows))
 
+    def lying_path_search(sign, n):
+        # the path scans run the finder's search on the colouring's signs
+        rows = [e for e in complete_edges(n) if sign(e) < 0]
+        return "fake", fake(ColoredGraph.complete_with_minus(n, rows)), 0
+
     if theorem == "diam3":
         monkeypatch.setattr(finders, "_diam3_tree", lying_search)
     else:
-        monkeypatch.setattr(finders, FINDERS[theorem], lying_finder)
+        monkeypatch.setattr(finders, "_spanning_path", lying_path_search)
     report = exhaustive_theorem_check(theorem, 6, shard=(12345, 12345 + 64))
     assert report.hypothesis_met > 0 and report.confirmed == 0
     assert len(report.counterexamples) == report.hypothesis_met
@@ -490,20 +496,21 @@ def test_family_scan_checks_the_finder_member_itself(monkeypatch, theorem, fake)
 
 
 def test_tree_scan_builds_no_graph(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("graph built from a mask in the tree scan")
-
-    monkeypatch.setattr(oracle, "_graph_from_mask", refuse)
+    _refuse_graphs(monkeypatch)
     report = exhaustive_theorem_check("tree", 6)
     assert report.passed and report.hypothesis_met == report.confirmed > 0
 
 
 def test_diam3_scan_builds_no_graph(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("graph built from a mask in the diam3 scan")
-
-    monkeypatch.setattr(oracle, "_graph_from_mask", refuse)
+    _refuse_graphs(monkeypatch)
     report = exhaustive_theorem_check("diam3", 6)
+    assert report.passed and report.hypothesis_met == report.confirmed > 0
+
+
+@pytest.mark.parametrize("theorem", ["path-census", "path-decomposition"])
+def test_path_scan_builds_no_graph(monkeypatch, theorem):
+    _refuse_graphs(monkeypatch)
+    report = exhaustive_theorem_check(theorem, 6)
     assert report.passed and report.hypothesis_met == report.confirmed > 0
 
 
@@ -623,47 +630,53 @@ def test_tree_scan_refuses_a_seed_that_is_not_a_tree(monkeypatch):
 def test_tree_scan_interpolation_agrees_with_the_finder(monkeypatch):
     # seeds through the whole maximal forest of their class are a lightest
     # and a heaviest tree; where neither weighs |w| <= 1 they straddle zero,
-    # and the scan hands the colouring to the finder to interpolate
+    # and the scan walks between them with the finder's own settle step
     def extreme_seed(n, class_edges, host_edges, k):
         return _seed(n, class_edges, host_edges, n - 1)
 
     monkeypatch.setattr(finders, "_tree_seed", extreme_seed)
-    finder = finders.find_zero_sum_spanning_tree
-    handed = []
+    settle = finders._settle
+    walked = []
 
-    def recording_finder(g, *args):
-        handed.append((g, finder(g, *args)))
-        return handed[-1][1]
+    def recording_settle(chain, n, seeds, sign):
+        mask = sum(1 << i for i, e in enumerate(complete_edges(n)) if sign(e) < 0)
+        walked.append((mask, settle(chain, n, seeds, sign)))
+        return walked[-1][1]
 
-    monkeypatch.setattr(finders, "find_zero_sum_spanning_tree", recording_finder)
+    monkeypatch.setattr(finders, "_settle", recording_settle)
     report = exhaustive_theorem_check("tree", 6, shard=(5 << 12, 6 << 12))
+    monkeypatch.setattr(finders, "_settle", settle)
     assert report.passed and report.confirmed == report.hypothesis_met
-    assert len(handed) > 100
-    for g, rep in handed:
-        assert rep == finder(g)
+    assert len(walked) > 100
+    for mask, (tree, reps) in walked:
+        rep = finders.find_zero_sum_spanning_tree(complete_from_mask(6, mask))
         assert rep.found and rep.certificate.endswith("; interpolated")
-        assert rep.chain_replacements > 0 and is_spanning_tree(rep.subgraph)
+        assert (frozenset(tree), reps) == (rep.subgraph.edges, rep.chain_replacements)
+        assert reps > 0 and is_spanning_tree(rep.subgraph)
 
 
 def test_tree_scan_checks_the_interpolated_tree_itself(monkeypatch):
-    # the finder's interpolated report is checked like a seed: a cycle
-    # through all vertices but the last is refused, light or not
+    # the tree the scan walks to is checked like a seed: a cycle through
+    # all vertices but the last is refused, light or not
     def extreme_seed(n, class_edges, host_edges, k):
         return _seed(n, class_edges, host_edges, n - 1)
 
     light = []
 
-    def cycle(g, *args):
-        edges = frozenset((v, v + 1) for v in range(g.n - 2)) | {(0, g.n - 2)}
-        sub = EdgeSubgraph._unchecked(g, edges)
-        light.append(abs(weight(sub)) <= 1)
-        return finders.FindReport(True, sub, weight(sub), "fake; interpolated", 1)
+    def cycle(chain, n, seeds, sign):
+        edges = frozenset((v, v + 1) for v in range(n - 2)) | {(0, n - 2)}
+        light.append(abs(sum(map(sign, edges))) <= 1)
+        return edges, 1
 
     monkeypatch.setattr(finders, "_tree_seed", extreme_seed)
-    monkeypatch.setattr(finders, "find_zero_sum_spanning_tree", cycle)
+    monkeypatch.setattr(finders, "_settle", cycle)
     report = exhaustive_theorem_check("tree", 6, shard=(5 << 12, 6 << 12))
     assert report.hypothesis_met - report.confirmed == len(light) > sum(light) > 0
-    assert all(ce["reason"] == "finder failed: fake; interpolated" for ce in report.counterexamples)
+    reason = (
+        "finder failed: interpolated tree [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]"
+        " is not a light spanning tree"
+    )
+    assert all(ce["reason"] == reason for ce in report.counterexamples)
 
 
 def test_enumeration_streams_are_lazy_after_budget_check():
