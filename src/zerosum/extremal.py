@@ -394,17 +394,11 @@ class _ConnectivityWitness:
         oracle._require_path_masks(g.n, 1, budget)
         if finders.find_zero_sum_path_leq4(g, 0, 1).found:
             return False
-        # independent scan over the same path space; the length-4 masks
-        # hold only x-a-b-c-y with a < c, which is enough because they
-        # decide only when no length-2 path is zero-sum: then every other
-        # vertex sees 0 and 1 with one sign, and a path and its mirror
-        # carry equally many -1 edges
+        # independent scan over the same path space
         bit = oracle._edge_bits(g.n)
         mask = sum(bit[u][v] for (u, v), c in g.sign.items() if c == -1)
         masks2, masks4 = oracle._short_path_masks(g.n, bit, 0, 1)
-        return not any((p & mask).bit_count() == 1 for p in masks2) and not any(
-            (p & mask).bit_count() == 2 for p in masks4
-        )
+        return not oracle._has_short_path(mask, masks2, masks4)
 
 
 @dataclass(frozen=True)

@@ -135,9 +135,9 @@ class ColoredGraph:
         return self
 
     @classmethod
-    def complete(cls, n, sign=1):
+    def complete(cls, n):
         edges = complete_edges(n)
-        return cls._unchecked(n, edges, {e: sign for e in edges})
+        return cls._unchecked(n, edges, dict.fromkeys(edges, 1))
 
     @classmethod
     def complete_with_minus(cls, n, minus_edges):

@@ -9,8 +9,8 @@ search on what it reads off the mask, the per-vertex -1 rows or the
 sign of an edge, so no colouring is built into a graph.  A family check
 tests every candidate the search hands over against the oracle's own
 table of the family's members, and its weight against the colouring;
-the connected check tests each vertex pair's short paths on its own
-masks, then the path the finder's search returns.
+the connected check tests the path the finder's search returns for
+each vertex pair, reading its own path masks only to word a refusal.
 
 Enumerations refuse instead of sampling when a budget would be
 exceeded.  Colouring ranges shard cleanly: shards share nothing and
@@ -254,17 +254,21 @@ def _short_path_masks(n: int, bit, x: int, y: int):
     return masks2, masks4
 
 
+def _has_short_path(mask: int, masks2, masks4) -> bool:
+    """Whether a colouring mask has a zero-sum x..y path of length 2 or 4,
+    given the path masks of x, y from _short_path_masks."""
+    return any((p & mask).bit_count() == 1 for p in masks2) or any(
+        (p & mask).bit_count() == 2 for p in masks4
+    )
+
+
 def _connected_table(n: int, budget: EnumerationBudget):
     """The check of the connectivity theorem on K_n over each vertex pair x,
-    y with the mask of the other vertices and the length-4 masks of
-    _short_path_masks, refused over max_paths before any is built."""
+    y and its _short_path_masks, refused over max_paths before any is built."""
     _require_path_masks(n, binomial(n, 2), budget)
     bit = _edge_bits(n)
-    full = (1 << n) - 1
     pair_masks = [
-        (x, y, full ^ (1 << x) ^ (1 << y), _short_path_masks(n, bit, x, y)[1])
-        for x in range(n)
-        for y in range(x + 1, n)
+        (x, y, *_short_path_masks(n, bit, x, y)) for x in range(n) for y in range(x + 1, n)
     ]
     edges = complete_edges(n)
     # the finder's search, run on the oracle's own -1 masks; its path is
@@ -273,18 +277,14 @@ def _connected_table(n: int, budget: EnumerationBudget):
     vertices = set(range(n))
 
     def check(mask):
-        # x-u-y has one -1 edge exactly when u is a -1 neighbour of one of
-        # x and y but not of the other
         minus = _minus_rows(n, edges, mask)
-        for x, y, others, masks4 in pair_masks:
-            if not (minus[x] ^ minus[y]) & others and not any(
-                (p & mask).bit_count() == 2 for p in masks4
-            ):
-                reason = "oracle found no short zero-sum path"
-                break
+        for x, y, masks2, masks4 in pair_masks:
             found = search(minus, n, x, y)
             if found is None:
-                reason = "finder failed: no zero-sum path of length <= 4"
+                if _has_short_path(mask, masks2, masks4):
+                    reason = "finder failed: no zero-sum path of length <= 4"
+                else:
+                    reason = "oracle found no short zero-sum path"
                 break
             # x..y with 2 or 4 edges, distinct vertices of K_n, half of
             # the edges -1

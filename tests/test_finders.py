@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 
@@ -626,6 +627,66 @@ def test_path_leq4_packages_the_mask_search_alone():
                 assert rep.subgraph.edges == {
                     canonical_edge(a, b) for a, b in zip(path, path[1:])
                 }
+
+
+def _minus_count(minus, path):
+    return sum((minus[a] >> b) & 1 for a, b in zip(path, path[1:]))
+
+
+def _check_short_path_search(minus, n, x, y):
+    """The search answers iff an explicit enumeration of every x-u-y and
+    x-a-b-c-y finds one with half its edges -1; its path is such a one.
+    Returns whether it found a path."""
+    others = [u for u in range(n) if u not in (x, y)]
+    exists = any(_minus_count(minus, [x, u, y]) == 1 for u in others) or any(
+        _minus_count(minus, [x, a, b, c, y]) == 2 for a, b, c in itertools.permutations(others, 3)
+    )
+    found = _short_zero_sum_path(minus, n, x, y)
+    assert (found is not None) == exists, (minus, x, y, found)
+    if found is None:
+        return False
+    label, path = found
+    assert label == "length-2" or label.startswith("case-"), label
+    assert path[0] == x and path[-1] == y and len(set(path)) == len(path) in (3, 5)
+    assert 2 * _minus_count(minus, path) == len(path) - 1
+    return True
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_short_path_search_is_complete_on_every_colouring(n):
+    answers = set()
+    for mask in range(1 << binomial(n, 2)):
+        minus = complete_from_mask(n, mask).minus_masks()
+        for x, y in itertools.permutations(range(n), 2):
+            answers.add(_check_short_path_search(minus, n, x, y))
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_short_path_search_is_complete_without_length_two_paths(n):
+    # every other vertex sees x and y with one sign, -1 for the |B| of them
+    # in B; the edges among the others are -1 at the given density
+    rng = random.Random(n)
+    answers = set()
+    for b in sorted({0, 1, 2, (n - 2) // 2}):
+        for density in ("none", "one edge", 0.2, 0.5, "all"):
+            for _ in range(3):
+                x, y = rng.sample(range(n), 2)
+                others = [u for u in range(n) if u not in (x, y)]
+                B = set(rng.sample(others, b))
+                minus = [(x, u) for u in B] + [(y, u) for u in B]
+                inner = list(itertools.combinations(others, 2))
+                if density == "one edge":
+                    minus.append(rng.choice(inner))
+                elif density == "all":
+                    minus += inner
+                elif density != "none":
+                    minus += [e for e in inner if rng.random() < density]
+                if rng.random() < 0.5:
+                    minus.append((x, y))
+                g = ColoredGraph.complete_with_minus(n, minus)
+                answers.add(_check_short_path_search(g.minus_masks(), n, x, y))
+    assert answers == {True, False}
 
 
 def test_path_leq4_input_validation():

@@ -383,6 +383,30 @@ def test_connected_scan_checks_the_finder_path_itself(monkeypatch, fake):
     assert all(ce["reason"].startswith("finder failed: ") for ce in report.counterexamples)
 
 
+def test_connected_scan_consults_its_masks_only_for_a_refused_pair(monkeypatch):
+    # the finder's search answers first; the oracle's own existence test
+    # only words the refusal of a pair the search left without a path
+    def refuse(*args):
+        raise AssertionError("path masks read for a pair the search answered")
+
+    monkeypatch.setattr(oracle, "_has_short_path", refuse)
+    report = exhaustive_theorem_check("connected", 6)
+    assert report.passed and report.hypothesis_met == report.confirmed > 0
+
+    calls = []
+
+    def record(mask, masks2, masks4):
+        calls.append(mask)
+        return True
+
+    monkeypatch.setattr(oracle, "_has_short_path", record)
+    monkeypatch.setattr(finders, "_short_zero_sum_path", lambda minus, n, x, y: None)
+    report = exhaustive_theorem_check("connected", 6, shard=(12345, 12345 + 64))
+    assert report.hypothesis_met > 0 and report.confirmed == 0
+    assert calls == [ce["mask"] for ce in report.counterexamples]
+    assert len(calls) == report.hypothesis_met
+
+
 FINDERS = {
     "tree": "find_zero_sum_spanning_tree",
     "diam3": "find_zero_sum_diam3_tree",

@@ -2,12 +2,14 @@
 module and attribute name; a rename in the package would break it
 silently, so every name it patches is checked here."""
 
+import ast
 import runpy
 from pathlib import Path
 
 import zerosum
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def test_every_traced_name_resolves():
@@ -21,3 +23,32 @@ def test_every_traced_name_resolves():
         if not callable(getattr(getattr(zerosum, module, None), attr, None))
     ]
     assert missing == []
+
+
+def test_every_unused_import_is_traced():
+    # a module-level import that its module never reads is kept only for
+    # the tracer to wrap: it says so with noqa, and PATCHES lists it there
+    traced = {(module, attr) for module, attr, _ in runpy.run_path(str(SPANS))["PATCHES"]}
+    unused = []
+    for path in sorted((ROOT / "src" / "zerosum").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        tree = ast.parse(source)
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        lines = source.splitlines()
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or (
+                isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__"
+            ):
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append((path.stem, name))
+                    assert "# noqa: F401" in lines[alias.lineno - 1], (path.name, name)
+    assert [entry for entry in unused if entry not in traced] == []
