@@ -9,8 +9,9 @@ colours through sign(e), and settle seed members (_tree_seed;
 _spanning_path) in one step (_settle): a light seed directly, otherwise
 the member the exchange-chain walk from the lightest seed to the
 heaviest stops at.  The diameter-3 and short-path searches (_diam3_tree,
-_short_zero_sum_path) read per-vertex -1 masks.  Every successful report
-is re-validated against the host signs.
+_short_zero_sum_path, and _short_zero_sum_paths for every vertex pair at
+once) read per-vertex -1 masks.  Every successful report is re-validated
+against the host signs.
 """
 
 from __future__ import annotations
@@ -471,6 +472,23 @@ def _short_zero_sum_path(minus, n: int, x: int, y: int) -> Optional[tuple[str, l
             return "case-3", [x, v, z, u, y]
         return "case-3", [x, z, v, u, y]
     return None
+
+
+def _short_zero_sum_paths(minus, n: int):
+    """The answers of _short_zero_sum_path for every vertex pair x < y of
+    K_n, lexicographically: (x, y, label, vertices), label and vertices
+    None where it finds no path.  Most pairs have a zero-sum x-u-y, read
+    here from one xor; only the others run the per-pair search."""
+    full = (1 << n) - 1
+    for x in range(n):
+        mx = minus[x]
+        rest = full ^ (1 << x)
+        for y in range(x + 1, n):
+            split = (mx ^ minus[y]) & (rest ^ (1 << y))
+            if split:
+                yield x, y, "length-2", [x, (split & -split).bit_length() - 1, y]
+            else:
+                yield x, y, *(_short_zero_sum_path(minus, n, x, y) or (None, None))
 
 
 def find_zero_sum_path_leq4(g: ColoredGraph, x: int, y: int) -> FindReport:

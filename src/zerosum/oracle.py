@@ -9,8 +9,10 @@ search on what it reads off the mask, the per-vertex -1 rows or the
 sign of an edge, so no colouring is built into a graph.  A family check
 tests every candidate the search hands over against the oracle's own
 table of the family's members, and its weight against the colouring;
-the connected check tests the path the finder's search returns for
-each vertex pair, reading its own path masks only to word a refusal.
+the connected check calls the finder's all-pairs search once a
+colouring, matches its answers against its own list of vertex pairs and
+tests each path against the colouring, reading its own path masks only
+to word a refusal.
 
 Enumerations refuse instead of sampling when a budget would be
 exceeded.  Colouring ranges shard cleanly: shards share nothing and
@@ -25,6 +27,7 @@ from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import zip_longest
 from multiprocessing import get_context
 from typing import Iterator, Optional, Union
 
@@ -263,45 +266,68 @@ def _has_short_path(mask: int, masks2, masks4) -> bool:
 
 
 def _connected_table(n: int, budget: EnumerationBudget):
-    """The check of the connectivity theorem on K_n over each vertex pair x,
-    y and its _short_path_masks, refused over max_paths before any is built."""
+    """The check of the connectivity theorem on K_n.  Each colouring makes
+    one call of the finder's all-pairs search; its answers are matched, in
+    order, against the oracle's own list of the vertex pairs x < y, and
+    each path is checked against the colouring.  A pair's
+    _short_path_masks, refused over max_paths before any is built, are read
+    only to word a refusal."""
     _require_path_masks(n, binomial(n, 2), budget)
     bit = _edge_bits(n)
     pair_masks = [
         (x, y, *_short_path_masks(n, bit, x, y)) for x in range(n) for y in range(x + 1, n)
     ]
     edges = complete_edges(n)
-    # the finder's search, run on the oracle's own -1 masks; its path is
-    # then checked here, so the finder is trusted for nothing
-    search = finders._short_zero_sum_path
+    # the finder's search, run on the oracle's own -1 masks; its answers
+    # are then checked here, so the finder is trusted for nothing
+    search = finders._short_zero_sum_paths
     vertices = set(range(n))
+    end = (None, None, None, None)
 
     def check(mask):
         minus = _minus_rows(n, edges, mask)
-        for x, y, masks2, masks4 in pair_masks:
-            found = search(minus, n, x, y)
-            if found is None:
+        answers = zip_longest(pair_masks, search(minus, n), fillvalue=end)
+        for (x, y, masks2, masks4), (ax, ay, label, path) in answers:
+            if ax != x or ay != y:
+                # a pair skipped, repeated or out of order, or answers
+                # that end early (ax None) or run long (x None)
+                got = "no pair" if ax is None else f"{ax}-{ay}"
+                due = "no pair" if x is None else f"{x}-{y}"
+                reason = f"finder failed: search answered {got} where {due} was due"
+                if x is None:
+                    x, y = ax, ay
+                break
+            if path is None:
                 if _has_short_path(mask, masks2, masks4):
                     reason = "finder failed: no zero-sum path of length <= 4"
                 else:
                     reason = "oracle found no short zero-sum path"
                 break
-            # x..y with 2 or 4 edges, distinct vertices of K_n, half of
-            # the edges -1
-            label, path = found
-            k = len(path) - 1
-            if (
-                (k == 2 or k == 4)
+            if len(path) == 3:
+                # x-u-y is zero-sum iff u sees x and y with opposite signs
+                u = path[1]
+                if (
+                    path[0] == x
+                    and path[2] == y
+                    and 0 <= u < n
+                    and u != x
+                    and u != y
+                    and ((minus[x] ^ minus[y]) >> u) & 1
+                ):
+                    continue
+            elif (
+                len(path) == 5
                 and path[0] == x
-                and path[-1] == y
-                and len(vertices.intersection(path)) == k + 1
+                and path[4] == y
+                and len(vertices.intersection(path)) == 5
             ):
+                # x..y with 4 edges, distinct vertices of K_n, two of them -1
                 n_minus = 0
                 a = x
                 for b in path[1:]:
                     n_minus += (minus[a] >> b) & 1
                     a = b
-                if 2 * n_minus == k:
+                if n_minus == 2:
                     continue
             reason = f"finder failed: {label} path {path} is not a zero-sum x..y path"
             break

@@ -25,6 +25,7 @@ from zerosum.finders import (
     _diam3_tree,
     _linear_forest,
     _short_zero_sum_path,
+    _short_zero_sum_paths,
     check_zero_sum_matching,
     extract_monochromatic_forest,
     find_zero_sum_diam3_tree,
@@ -627,6 +628,18 @@ def test_path_leq4_packages_the_mask_search_alone():
                 assert rep.subgraph.edges == {
                     canonical_edge(a, b) for a, b in zip(path, path[1:])
                 }
+
+
+@pytest.mark.parametrize("n, step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 401)])
+def test_all_pairs_search_answers_as_the_per_pair_search(n, step):
+    for mask in range(0, 1 << binomial(n, 2), step):
+        minus = complete_from_mask(n, mask).minus_masks()
+        expected = [
+            (x, y, *(_short_zero_sum_path(minus, n, x, y) or (None, None)))
+            for x in range(n)
+            for y in range(x + 1, n)
+        ]
+        assert list(_short_zero_sum_paths(minus, n)) == expected
 
 
 def _minus_count(minus, path):

@@ -358,6 +358,18 @@ def _repeating_walk(minus, n, x, y):
 _search = finders._short_zero_sum_path
 
 
+def _every_pair(fake):
+    """An all-pairs search that answers each pair x < y as the per-pair
+    search fake does."""
+
+    def search(minus, n):
+        for x in range(n):
+            for y in range(x + 1, n):
+                yield x, y, *(fake(minus, n, x, y) or (None, None))
+
+    return search
+
+
 def _wrong_endpoint(minus, n, x, y):
     z = next(z for z in range(n) if z not in (x, y))
     return _search(minus, n, x, z)
@@ -376,7 +388,7 @@ def test_connected_scan_checks_the_finder_path_itself(monkeypatch, fake):
     # every met colouring of the shard must be refused by the oracle's own
     # check of the path handed to it; each fake finds its kind of wrong
     # path for pair 0-1, the first one scanned, in all of them
-    monkeypatch.setattr(finders, "_short_zero_sum_path", fake)
+    monkeypatch.setattr(finders, "_short_zero_sum_paths", _every_pair(fake))
     report = exhaustive_theorem_check("connected", 6, shard=(12345, 12345 + 64))
     assert report.hypothesis_met > 0 and report.confirmed == 0
     assert len(report.counterexamples) == report.hypothesis_met
@@ -400,10 +412,80 @@ def test_connected_scan_consults_its_masks_only_for_a_refused_pair(monkeypatch):
         return True
 
     monkeypatch.setattr(oracle, "_has_short_path", record)
-    monkeypatch.setattr(finders, "_short_zero_sum_path", lambda minus, n, x, y: None)
+    monkeypatch.setattr(finders, "_short_zero_sum_paths", _every_pair(lambda minus, n, x, y: None))
     report = exhaustive_theorem_check("connected", 6, shard=(12345, 12345 + 64))
     assert report.hypothesis_met > 0 and report.confirmed == 0
     assert calls == [ce["mask"] for ce in report.counterexamples]
+    assert len(calls) == report.hypothesis_met
+
+
+_all_pairs = finders._short_zero_sum_paths
+
+
+def _edited_answers(edit):
+    """An all-pairs search whose answers are the real ones, listed, after
+    edit(answers)."""
+
+    def search(minus, n):
+        return iter(edit(list(_all_pairs(minus, n))))
+
+    return search
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda a: a[:3] + a[4:],
+        lambda a: a[:4] + a[3:4] + a[5:],
+        lambda a: a[:3] + [a[4], a[3]] + a[5:],
+        lambda a: a[:-1],
+        lambda a: a + a[-1:],
+    ],
+    ids=["skips-a-pair", "repeats-a-pair", "swaps-two-pairs", "ends-early", "runs-long"],
+)
+def test_connected_scan_checks_the_pairs_the_search_answers(monkeypatch, edit):
+    # every answer is a true zero-sum path of its own pair; the match
+    # against the oracle's own pair list refuses the stream first
+    monkeypatch.setattr(finders, "_short_zero_sum_paths", _edited_answers(edit))
+    report = exhaustive_theorem_check("connected", 6, shard=(12345, 12345 + 64))
+    assert report.hypothesis_met > 0 and report.confirmed == 0
+    assert len(report.counterexamples) == report.hypothesis_met
+    assert all(
+        ce["reason"].startswith("finder failed: search answered ") for ce in report.counterexamples
+    )
+
+
+@pytest.mark.parametrize("middle", ["below", "beyond", "x", "y"])
+def test_connected_scan_refuses_a_length_two_path_off_the_pairs_others(monkeypatch, middle):
+    # the answers are true but for the first pair whose edge xy is -1:
+    # there the middle vertex is outside 0..n-1 or an end, which the xor
+    # of the two rows alone would pass for an end, and a negative one must
+    # not reach a shift, which would raise ValueError
+    def fake(minus, n):
+        answers = list(_all_pairs(minus, n))
+        i = next(i for i, (x, y, *_) in enumerate(answers) if (minus[x] >> y) & 1)
+        x, y = answers[i][:2]
+        u = {"below": -1, "beyond": n, "x": x, "y": y}[middle]
+        answers[i] = x, y, "length-2", [x, u, y]
+        return iter(answers)
+
+    monkeypatch.setattr(finders, "_short_zero_sum_paths", fake)
+    report = exhaustive_theorem_check("connected", 6, shard=(12345, 12345 + 64))
+    assert report.hypothesis_met > 0 and report.confirmed == 0
+    assert len(report.counterexamples) == report.hypothesis_met
+    assert all(ce["reason"].startswith("finder failed: ") for ce in report.counterexamples)
+
+
+def test_connected_scan_calls_the_search_once_per_met_colouring(monkeypatch):
+    calls = []
+
+    def counted(minus, n):
+        calls.append(minus)
+        return _all_pairs(minus, n)
+
+    monkeypatch.setattr(finders, "_short_zero_sum_paths", counted)
+    report = exhaustive_theorem_check("connected", 6, shard=(12345, 12345 + 64))
+    assert report.passed and report.hypothesis_met == report.confirmed > 0
     assert len(calls) == report.hypothesis_met
 
 
