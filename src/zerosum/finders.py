@@ -475,10 +475,10 @@ def _short_zero_sum_path(minus, n: int, x: int, y: int) -> Optional[tuple[str, l
 
 
 def _short_zero_sum_paths(minus, n: int):
-    """The answers of _short_zero_sum_path for every vertex pair x < y of
-    K_n, lexicographically: (x, y, label, vertices), label and vertices
-    None where it finds no path.  Most pairs have a zero-sum x-u-y, read
-    here from one xor; only the others run the per-pair search."""
+    """The paths of _short_zero_sum_path for every vertex pair x < y of
+    K_n, lexicographically: its vertex list, or None where it finds no
+    path.  Most pairs have a zero-sum x-u-y, read here from one xor; only
+    the others run the per-pair search."""
     full = (1 << n) - 1
     for x in range(n):
         mx = minus[x]
@@ -486,9 +486,9 @@ def _short_zero_sum_paths(minus, n: int):
         for y in range(x + 1, n):
             split = (mx ^ minus[y]) & (rest ^ (1 << y))
             if split:
-                yield x, y, "length-2", [x, (split & -split).bit_length() - 1, y]
+                yield [x, (split & -split).bit_length() - 1, y]
             else:
-                yield x, y, *(_short_zero_sum_path(minus, n, x, y) or (None, None))
+                yield (_short_zero_sum_path(minus, n, x, y) or (None, None))[1]
 
 
 def find_zero_sum_path_leq4(g: ColoredGraph, x: int, y: int) -> FindReport:

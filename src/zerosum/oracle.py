@@ -6,13 +6,12 @@ spaces as sign bitmasks over the canonical edge order.  Each theorem
 has one check, built once per call, that one loop runs on every
 colouring meeting the hypothesis.  Every check runs the finder's own
 search on what it reads off the mask, the per-vertex -1 rows or the
-sign of an edge, so no colouring is built into a graph.  A family check
-tests every candidate the search hands over against the oracle's own
-table of the family's members, and its weight against the colouring;
-the connected check calls the finder's all-pairs search once a
-colouring, matches its answers against its own list of vertex pairs and
-tests each path against the colouring, reading its own path masks only
-to word a refusal.
+sign of an edge, so no colouring is built into a graph.  The searches
+hand over edges or paths only, and each check has one shape: it tests
+the finder's member (a family check against the oracle's own table of
+members and the colouring; the connected check each path's ends and
+signs against its own list of vertex pairs), and only to word a refusal
+tests whether one exists.
 
 Enumerations refuse instead of sampling when a budget would be
 exceeded.  Colouring ranges shard cleanly: shards share nothing and
@@ -153,8 +152,8 @@ def _tree_candidates(n: int) -> tuple:
     """The candidates of the tree theorem, in the order tried: the finder's
     seeds through the colouring's -1 and then its +1 edges, read off the
     mask bits in canonical order, then the tree that the finder's settle
-    step (finders._settle) walks to between them (on K_3..K_7 the seeds
-    always settle)."""
+    step (finders._settle) walks to between them, or None where it finds
+    none (on K_3..K_7 the seeds always settle)."""
     edges = complete_edges(n)
     full = (1 << len(edges)) - 1
     k = GUARANTEES["tree", "complete"].k(n)
@@ -162,72 +161,75 @@ def _tree_candidates(n: int) -> tuple:
     signs = _mask_signs(n)
 
     def minus_seed(mask):
-        tree = seed(n, (e for i, e in enumerate(edges) if mask >> i & 1), edges, k)
-        return (lambda t: f"seed {sorted(t)} is not a spanning tree"), tree
+        return seed(n, (e for i, e in enumerate(edges) if mask >> i & 1), edges, k)
 
     def walked(mask):
-        seeds = [minus_seed(mask)[1], minus_seed(full ^ mask)[1]]
-        found = settle(_tree_chain, n, seeds, signs(mask))
-        tree = found[0] if found else ()
-        return (lambda t: f"interpolated tree {sorted(t)} is not a light spanning tree"), tree
+        found = settle(_tree_chain, n, [minus_seed(mask), minus_seed(full ^ mask)], signs(mask))
+        return found[0] if found else None
 
-    return minus_seed, lambda mask: minus_seed(full ^ mask), walked
+    return (
+        ("seed through the -1 edges", minus_seed),
+        ("seed through the +1 edges", lambda mask: minus_seed(full ^ mask)),
+        ("interpolated tree", walked),
+    )
 
 
 def _diam3_candidates(n: int) -> tuple:
     """The candidate of the diam3 theorem: the tree the finder's search
-    (finders._diam3_tree) picks from the colouring's -1 rows."""
+    (finders._diam3_tree) picks from the colouring's -1 rows, or None."""
     edges = complete_edges(n)
     search = finders._diam3_tree
 
-    def candidate(mask):
-        route, tree = search(_minus_rows(n, edges, mask), n) or ("no light diameter-3 tree", ())
-        return (lambda _: route), tree
+    def tree(mask):
+        return (search(_minus_rows(n, edges, mask), n) or (None, None))[1]
 
-    return (candidate,)
+    return (("diameter-3 tree", tree),)
 
 
 def _path_candidates(n: int) -> tuple:
     """The candidate of the path theorems: the path that the finder's search
-    (finders._spanning_path) picks from the colouring's signs."""
+    (finders._spanning_path) picks from the colouring's signs, or None."""
     search = finders._spanning_path
     signs = _mask_signs(n)
 
-    def candidate(mask):
-        how, path, _ = search(signs(mask), n) or ("no half-sized linear forest", (), 0)
-        return (lambda _: how), path
+    def path(mask):
+        return (search(signs(mask), n) or (None, None))[1]
 
-    return (candidate,)
+    return (("spanning path", path),)
 
 
 def _family_table(kind, candidates, n: int, budget: EnumerationBudget):
     """The check of a family theorem on K_n over the sorted masks of all
     members of kind, refused over budget from their closed-form count, and
-    candidates(n): functions of a colouring mask, each giving a (refusal,
-    edges) pair, in the order tried, refusal(edges) the text of a refusal."""
+    candidates(n): (name, edges) pairs in the order tried, edges(mask) the
+    edges a search hands over for a colouring, or None."""
     budget.require(kind.budget_field, kind.complete_count(n), "members to enumerate")
     members = _member_masks(n, kind.members)
-    bit = _edge_bits(n)
+    bit = {e: 1 << i for i, e in enumerate(complete_edges(n))}
     size = len(members)
     candidates = candidates(n)
 
     def check(mask):
         # every candidate is checked here against the oracle's own member
-        # table, so the finder is trusted for nothing: a non-member is
+        # table, so the finder is trusted for nothing: no edges (t = 0) or
+        # an edge not of K_n in canonical order (t = -1) is no member and is
         # refused, a light member (n-1 edges, |weight| <= 1) confirms, and a
         # heavy one passes on to the next candidate or, the last, is refused
-        for candidate in candidates:
-            why, sub = candidate(mask)
+        for name, edges in candidates:
+            sub = edges(mask)
             t = 0
-            for u, v in sub:
-                t |= bit[u][v]
+            for e in sub or ():
+                t |= bit.get(e, -1)
             i = bisect_left(members, t)
             if i == size or members[i] != t:
+                what = "not found" if sub is None else f"{sorted(sub)} is outside the family"
                 break
             if abs(n - 1 - 2 * (t & mask).bit_count()) <= 1:
                 return None
+        else:
+            what = f"{sorted(sub)} has weight {n - 1 - 2 * (t & mask).bit_count()}"
         if any(abs(n - 1 - 2 * (m & mask).bit_count()) <= 1 for m in members):
-            return {"reason": f"finder failed: {why(sub)}"}
+            return {"reason": f"finder failed: {name} {what}"}
         return {"reason": "oracle found no qualifying member"}
 
     return check
@@ -267,11 +269,11 @@ def _has_short_path(mask: int, masks2, masks4) -> bool:
 
 def _connected_table(n: int, budget: EnumerationBudget):
     """The check of the connectivity theorem on K_n.  Each colouring makes
-    one call of the finder's all-pairs search; its answers are matched, in
-    order, against the oracle's own list of the vertex pairs x < y, and
-    each path is checked against the colouring.  A pair's
-    _short_path_masks, refused over max_paths before any is built, are read
-    only to word a refusal."""
+    one call of the finder's all-pairs search, whose paths must run, in
+    order, between the oracle's own vertex pairs x < y and be zero-sum in
+    the colouring: a pair skipped, repeated or swapped fails at the path
+    ends, an early end at the fill value ().  A pair's _short_path_masks,
+    refused over max_paths before any is built, only word a refusal."""
     _require_path_masks(n, binomial(n, 2), budget)
     bit = _edge_bits(n)
     pair_masks = [
@@ -282,21 +284,13 @@ def _connected_table(n: int, budget: EnumerationBudget):
     # are then checked here, so the finder is trusted for nothing
     search = finders._short_zero_sum_paths
     vertices = set(range(n))
-    end = (None, None, None, None)
 
     def check(mask):
         minus = _minus_rows(n, edges, mask)
-        answers = zip_longest(pair_masks, search(minus, n), fillvalue=end)
-        for (x, y, masks2, masks4), (ax, ay, label, path) in answers:
-            if ax != x or ay != y:
-                # a pair skipped, repeated or out of order, or answers
-                # that end early (ax None) or run long (x None)
-                got = "no pair" if ax is None else f"{ax}-{ay}"
-                due = "no pair" if x is None else f"{x}-{y}"
-                reason = f"finder failed: search answered {got} where {due} was due"
-                if x is None:
-                    x, y = ax, ay
-                break
+        for pair, path in zip_longest(pair_masks, search(minus, n), fillvalue=()):
+            if not pair:
+                return {"pair": None, "reason": f"finder failed: answer {path} past the last pair"}
+            x, y, masks2, masks4 = pair
             if path is None:
                 if _has_short_path(mask, masks2, masks4):
                     reason = "finder failed: no zero-sum path of length <= 4"
@@ -316,20 +310,15 @@ def _connected_table(n: int, budget: EnumerationBudget):
                 ):
                     continue
             elif (
+                # x..y with 4 edges, distinct vertices of K_n, two of them -1
                 len(path) == 5
                 and path[0] == x
                 and path[4] == y
                 and len(vertices.intersection(path)) == 5
+                and sum((minus[a] >> b) & 1 for a, b in zip(path, path[1:])) == 2
             ):
-                # x..y with 4 edges, distinct vertices of K_n, two of them -1
-                n_minus = 0
-                a = x
-                for b in path[1:]:
-                    n_minus += (minus[a] >> b) & 1
-                    a = b
-                if n_minus == 2:
-                    continue
-            reason = f"finder failed: {label} path {path} is not a zero-sum x..y path"
+                continue
+            reason = f"finder failed: {path} is not a zero-sum {x}..{y} path of length 2 or 4"
             break
         else:
             return None

@@ -91,16 +91,14 @@ class Guarantee:
     The finder needs a monochromatic k(n)-edge subgraph, half a family
     member, in each colour class; min{e(-1), e(1)} above bound(n) forces
     both (reaching it suffices when strict is False).  bound_at(n, k, d)
-    evaluates the formula named by formula, d being the degeneracy of a
-    d-tree host and 0 elsewhere.  The guarantee covers orders
-    n >= min_n(d); the tree finder answers smaller ones uncertified.
-    text is the condition as certificates print it; label and host name
-    the host class there, host also in the certificate for a graph
-    outside the class.
+    evaluates the bound, d being the degeneracy of a d-tree host and 0
+    elsewhere.  The guarantee covers orders n >= min_n(d); the tree
+    finder answers smaller ones uncertified.  text is the condition as
+    certificates print it; label and host name the host class there,
+    host also in the certificate for a graph outside the class.
     exact is False when the bound only caps the true threshold from above.
     """
 
-    formula: str
     bound_at: Callable[[int, int, int], int]
     text: str
     strict: bool = True
@@ -122,8 +120,8 @@ class Guarantee:
     def holds(self, minimum: int, bound: int) -> bool:
         return minimum > bound if self.strict else minimum >= bound
 
-    # kept per argument tuple: the connectivity finder asks it once for
-    # every vertex pair of a colouring
+    # kept per argument tuple: find_zero_sum_path_leq4 asks it again for
+    # each vertex pair of one graph, as find-large's connect operations do
     @lru_cache(maxsize=64)
     def condition(self, n: int, minimum: int, d: int = 0) -> tuple[bool, str]:
         """Whether a census minimum meets the condition at order n (which
@@ -142,36 +140,36 @@ _TREE_TEXT = "{label} host: min{{e(-1),e(1)}}={minimum} needs > {bound}"
 # bounds are 0 there, so their conditions never hold.
 GUARANTEES = {
     ("tree", "complete"): Guarantee(
-        "ex_forest", lambda n, k, d: ex_forest(n, k) if k else 0, _TREE_TEXT,
+        lambda n, k, d: ex_forest(n, k) if k else 0, _TREE_TEXT,
         label="complete", host="complete",
     ),
     ("tree", "triangle-free"): Guarantee(
-        "forest_bound_triangle_free", lambda n, k, d: forest_bound_triangle_free(k), _TREE_TEXT,
+        lambda n, k, d: forest_bound_triangle_free(k), _TREE_TEXT,
         k=lambda n: n // 2, label="triangle-free", host="triangle-free",
     ),
     ("tree", "dtree"): Guarantee(
-        "forest_bound_degenerate", lambda n, k, d: forest_bound_degenerate(k, d), _TREE_TEXT,
+        lambda n, k, d: forest_bound_degenerate(k, d), _TREE_TEXT,
         min_n=lambda d: 2 * d + 2, label="{d}-tree", host="a {d}-tree",
     ),
     ("tree", "planar"): Guarantee(
-        "forest_bound_planar", lambda n, k, d: forest_bound_planar(k),
+        lambda n, k, d: forest_bound_planar(k),
         "{label} host: min{{e(-1),e(1)}}={minimum} needs >= {bound}", strict=False,
         min_n=lambda d: 7, label="stacked-planar", host="a certified stacked maximal planar graph",
     ),
     # only the star Turan number is known here; it bounds the true
     # half-family threshold from above, so the condition stays sufficient
     ("diam3", "complete"): Guarantee(
-        "ex_star", lambda n, k, d: ex_star(n, k) if k else 0,
+        lambda n, k, d: ex_star(n, k) if k else 0,
         "min{{e(-1),e(1)}}={minimum} needs > {bound} = floor(n/2*floor((n-3)/2))",
         min_n=lambda d: 3, exact=False,
     ),
     ("path-census", "complete"): Guarantee(
-        "spanning_path_threshold", lambda n, k, d: spanning_path_threshold(n),
+        lambda n, k, d: spanning_path_threshold(n),
         "census threshold not met: min{{e(-1),e(1)}}={minimum} <= {bound}", min_n=lambda d: 3,
     ),
     # any two vertices are joined by a zero-sum path of length <= 4
     ("connected", "complete"): Guarantee(
-        "ceil((n+1)/2)", lambda n, k, d: (n + 2) // 2,
+        lambda n, k, d: (n + 2) // 2,
         "census min={minimum}, threshold ceil((n+1)/2)={bound}", strict=False, min_n=lambda d: 6,
     ),
 }

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -294,6 +295,25 @@ def test_verify_budget_flag_allows_shard_of_n7(capsys):
     )
     assert code == 0
     assert json.loads(out.splitlines()[-1])["counterexamples"] == 0
+
+
+# sha256 over verify T n --json, T each theorem and n = 2..6, progress
+# events dropped (they carry timings), each run's lines then its exit code
+VERIFY_DIGEST = "37c064edb389b0c18c7fe19034b0131f8c5fd9308a75424dbed7bdd583869270"
+
+
+def test_verify_output_is_pinned(capsys):
+    from zerosum.oracle import THEOREMS
+
+    digest = hashlib.sha256()
+    for theorem in THEOREMS:
+        for n in range(2, 7):
+            code, out, _ = run_cli(capsys, ["verify", theorem, str(n), "--json"])
+            for line in out.splitlines():
+                if json.loads(line)["type"] != "progress":
+                    digest.update(line.encode() + b"\n")
+            digest.update(f"exit {code}\n".encode())
+    assert digest.hexdigest() == VERIFY_DIGEST
 
 
 def test_extremal_output_file(tmp_path, capsys):

@@ -352,31 +352,39 @@ def _walks4(minus, n, x, y):
 
 
 def _repeating_walk(minus, n, x, y):
-    return "fake", next(w for w, k in _walks4(minus, n, x, y) if k == 2 and len(set(w)) < 5)
+    return next(w for w, k in _walks4(minus, n, x, y) if k == 2 and len(set(w)) < 5)
 
 
 _search = finders._short_zero_sum_path
 
 
 def _every_pair(fake):
-    """An all-pairs search that answers each pair x < y as the per-pair
-    search fake does."""
+    """An all-pairs search that answers each pair x < y with the path
+    fake(minus, n, x, y)."""
 
     def search(minus, n):
         for x in range(n):
             for y in range(x + 1, n):
-                yield x, y, *(fake(minus, n, x, y) or (None, None))
+                yield fake(minus, n, x, y)
 
     return search
 
 
 def _wrong_endpoint(minus, n, x, y):
     z = next(z for z in range(n) if z not in (x, y))
-    return _search(minus, n, x, z)
+    return _search(minus, n, x, z)[1]
 
 
 def _one_minus_edge(minus, n, x, y):
-    return "fake", next(w for w, k in _walks4(minus, n, x, y) if k == 1 and len(set(w)) == 5)
+    return next(w for w, k in _walks4(minus, n, x, y) if k == 1 and len(set(w)) == 5)
+
+
+def _minus_of(mask, n=6):
+    return complete_from_mask(n, mask).minus_masks()
+
+
+def _not_a_path(path, x, y):
+    return f"finder failed: {path} is not a zero-sum {x}..{y} path of length 2 or 4"
 
 
 @pytest.mark.parametrize(
@@ -392,7 +400,13 @@ def test_connected_scan_checks_the_finder_path_itself(monkeypatch, fake):
     report = exhaustive_theorem_check("connected", 6, shard=(12345, 12345 + 64))
     assert report.hypothesis_met > 0 and report.confirmed == 0
     assert len(report.counterexamples) == report.hypothesis_met
-    assert all(ce["reason"].startswith("finder failed: ") for ce in report.counterexamples)
+    for ce in report.counterexamples:
+        path = fake(_minus_of(ce["mask"]), 6, 0, 1)
+        if path is None:
+            reason = "finder failed: no zero-sum path of length <= 4"
+        else:
+            reason = _not_a_path(path, 0, 1)
+        assert (ce["pair"], ce["reason"]) == ([0, 1], reason)
 
 
 def test_connected_scan_consults_its_masks_only_for_a_refused_pair(monkeypatch):
@@ -433,26 +447,36 @@ def _edited_answers(edit):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, refused",
     [
-        lambda a: a[:3] + a[4:],
-        lambda a: a[:4] + a[3:4] + a[5:],
-        lambda a: a[:3] + [a[4], a[3]] + a[5:],
-        lambda a: a[:-1],
-        lambda a: a + a[-1:],
+        (lambda a: a[:3] + a[4:], lambda a: ([0, 4], _not_a_path(a[4], 0, 4))),
+        (lambda a: a[:4] + a[3:4] + a[5:], lambda a: ([0, 5], _not_a_path(a[3], 0, 5))),
+        (lambda a: a[:3] + [a[4], a[3]] + a[5:], lambda a: ([0, 4], _not_a_path(a[4], 0, 4))),
+        # the answers that are missing read as the fill value ()
+        (lambda a: a[:-1], lambda a: ([4, 5], _not_a_path((), 4, 5))),
+        (
+            lambda a: a + a[-1:],
+            lambda a: (None, f"finder failed: answer {a[-1]} past the last pair"),
+        ),
     ],
     ids=["skips-a-pair", "repeats-a-pair", "swaps-two-pairs", "ends-early", "runs-long"],
 )
-def test_connected_scan_checks_the_pairs_the_search_answers(monkeypatch, edit):
-    # every answer is a true zero-sum path of its own pair; the match
-    # against the oracle's own pair list refuses the stream first
+def test_connected_scan_checks_the_pairs_the_search_answers(monkeypatch, edit, refused):
+    # every answer is a true zero-sum path of some pair of K_6; the ends of
+    # a path answered out of turn refuse it for the pair that was due
     monkeypatch.setattr(finders, "_short_zero_sum_paths", _edited_answers(edit))
     report = exhaustive_theorem_check("connected", 6, shard=(12345, 12345 + 64))
     assert report.hypothesis_met > 0 and report.confirmed == 0
     assert len(report.counterexamples) == report.hypothesis_met
-    assert all(
-        ce["reason"].startswith("finder failed: search answered ") for ce in report.counterexamples
-    )
+    for ce in report.counterexamples:
+        answers = list(_all_pairs(_minus_of(ce["mask"]), 6))
+        assert (ce["pair"], ce["reason"]) == refused(answers)
+
+
+def _first_minus_pair(minus, n):
+    """The index and ends of the first pair x < y whose edge xy is -1."""
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    return next((i, x, y) for i, (x, y) in enumerate(pairs) if (minus[x] >> y) & 1)
 
 
 @pytest.mark.parametrize("middle", ["below", "beyond", "x", "y"])
@@ -461,19 +485,22 @@ def test_connected_scan_refuses_a_length_two_path_off_the_pairs_others(monkeypat
     # there the middle vertex is outside 0..n-1 or an end, which the xor
     # of the two rows alone would pass for an end, and a negative one must
     # not reach a shift, which would raise ValueError
+    def fake_path(n, x, y):
+        return [x, {"below": -1, "beyond": n, "x": x, "y": y}[middle], y]
+
     def fake(minus, n):
         answers = list(_all_pairs(minus, n))
-        i = next(i for i, (x, y, *_) in enumerate(answers) if (minus[x] >> y) & 1)
-        x, y = answers[i][:2]
-        u = {"below": -1, "beyond": n, "x": x, "y": y}[middle]
-        answers[i] = x, y, "length-2", [x, u, y]
+        i, x, y = _first_minus_pair(minus, n)
+        answers[i] = fake_path(n, x, y)
         return iter(answers)
 
     monkeypatch.setattr(finders, "_short_zero_sum_paths", fake)
     report = exhaustive_theorem_check("connected", 6, shard=(12345, 12345 + 64))
     assert report.hypothesis_met > 0 and report.confirmed == 0
     assert len(report.counterexamples) == report.hypothesis_met
-    assert all(ce["reason"].startswith("finder failed: ") for ce in report.counterexamples)
+    for ce in report.counterexamples:
+        _, x, y = _first_minus_pair(_minus_of(ce["mask"]), 6)
+        assert (ce["pair"], ce["reason"]) == ([x, y], _not_a_path(fake_path(6, x, y), x, y))
 
 
 def test_connected_scan_calls_the_search_once_per_met_colouring(monkeypatch):
@@ -567,38 +594,73 @@ def _heaviest_member(kind):
     return fake
 
 
+_diam3_search = finders._diam3_tree
+
+
+def _light_tree_ending_at_minus_one(g):
+    # the finder's light tree with vertex n-1 written -1: as a list index,
+    # -1 reads the row of vertex n-1
+    edges = _diam3_search(g.minus_masks(), g.n)[1]
+    return frozenset((u, -1) if v == g.n - 1 else (u, v) for u, v in edges)
+
+
 @pytest.mark.parametrize(
-    "theorem, fake",
+    "theorem, fake, member",
     [
-        ("diam3", _hampath_of),
-        ("diam3", _heaviest_member(Diam3Trees)),
-        ("path-census", _star_of),
-        ("path-census", _heaviest_member(HamiltonianPaths)),
+        ("diam3", _hampath_of, False),
+        ("diam3", _heaviest_member(Diam3Trees), True),
+        ("diam3", _light_tree_ending_at_minus_one, False),
+        ("path-census", _star_of, False),
+        ("path-census", _heaviest_member(HamiltonianPaths), True),
+        ("diam3", None, None),
+        ("path-census", None, None),
     ],
-    ids=["diam3-hamiltonian-path", "diam3-heavy-member", "path-star", "path-heavy-member"],
+    ids=[
+        "diam3-hamiltonian-path",
+        "diam3-heavy-member",
+        "diam3-vertex-minus-one",
+        "path-star",
+        "path-heavy-member",
+        "diam3-none",
+        "path-none",
+    ],
 )
-def test_family_scan_checks_the_finder_member_itself(monkeypatch, theorem, fake):
+def test_family_scan_checks_the_finder_member_itself(monkeypatch, theorem, fake, member):
     # each fake reports a zero-weight member it has not got: a subgraph
-    # outside the family, or a member that is not light; every met
-    # colouring of the shard must be refused by the oracle's own check
+    # outside the family, a member that is not light, or none at all
+    # (None) where a light member exists; every met colouring of the
+    # shard must be refused by the oracle's own check, in its own words
     def lying_search(minus, n):
         # the diam3 scan runs the finder's search on the colouring's -1 rows
         rows = [(u, v) for u, v in complete_edges(n) if minus[u] >> v & 1]
-        return "fake", fake(ColoredGraph.complete_with_minus(n, rows))
+        return fake and ("fake", fake(ColoredGraph.complete_with_minus(n, rows)))
 
     def lying_path_search(sign, n):
         # the path scans run the finder's search on the colouring's signs
         rows = [e for e in complete_edges(n) if sign(e) < 0]
-        return "fake", fake(ColoredGraph.complete_with_minus(n, rows)), 0
+        return fake and ("fake", fake(ColoredGraph.complete_with_minus(n, rows)), 0)
 
     if theorem == "diam3":
         monkeypatch.setattr(finders, "_diam3_tree", lying_search)
+        kind, name = Diam3Trees, "diameter-3 tree"
     else:
         monkeypatch.setattr(finders, "_spanning_path", lying_path_search)
+        kind, name = HamiltonianPaths, "spanning path"
     report = exhaustive_theorem_check(theorem, 6, shard=(12345, 12345 + 64))
     assert report.hypothesis_met > 0 and report.confirmed == 0
     assert len(report.counterexamples) == report.hypothesis_met
-    assert all(ce["reason"] == "finder failed: fake" for ce in report.counterexamples)
+    for ce in report.counterexamples:
+        g = complete_from_mask(6, ce["mask"])
+        assert _light_member(kind(g), ce["mask"])
+        if fake is None:
+            reason = f"finder failed: {name} not found"
+        elif member:
+            edges = fake(g)
+            w = weight(EdgeSubgraph(g, edges))
+            reason = f"finder failed: {name} {sorted(edges)} has weight {w}"
+        else:
+            reason = f"finder failed: {name} {sorted(fake(g))} is outside the family"
+        assert ce["reason"] == reason
 
 
 def test_tree_scan_builds_no_graph(monkeypatch):
@@ -780,7 +842,7 @@ def test_tree_scan_checks_the_interpolated_tree_itself(monkeypatch):
     assert report.hypothesis_met - report.confirmed == len(light) > sum(light) > 0
     reason = (
         "finder failed: interpolated tree [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]"
-        " is not a light spanning tree"
+        " is outside the family"
     )
     assert all(ce["reason"] == reason for ce in report.counterexamples)
 
