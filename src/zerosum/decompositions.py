@@ -5,10 +5,13 @@ that every run of the package produces identical decompositions: path i
 is the rotation by i of the order 0, 1, n-1, 2, n-2, ... which walks
 through every circular difference exactly once.
 
-The part orders and edge lists depend only on n, so they are built once
-per (n, kind) and kept for the last few orders asked for.  The
-spanning-path finder reads these edge lists directly; each call here
-binds them to a new all-+1 K_n, and its parts are never kept.
+The part orders, edge lists and colouring-mask bits depend only on n,
+so they are built in one pass once per (n, kind) and kept for the last
+few orders asked for.  The spanning-path search (finders._spanning_path)
+weighs each part by one popcount of its bits in a colouring mask, and
+reads the edge lists only of the parts it answers with or walks
+between; each call here binds them to a new all-+1 K_n, and its parts
+are never kept.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .graphs import ColoredGraph, EdgeSubgraph, canonical_edge
+from .graphs import ColoredGraph, EdgeSubgraph, edge_offsets
 
 
 @dataclass(frozen=True)
@@ -42,23 +45,29 @@ def _zigzag(n: int, offset: int) -> list[int]:
 # the parts of K_n hold all C(n,2) of its edges, so only a few orders are kept
 @lru_cache(maxsize=4)
 def _zigzag_parts(n: int, cycles: bool):
-    """(orders, edge lists in canonical order) of the zig-zag paths (or
-    cycles through the hub n-1) of K_n."""
+    """(orders, edge lists in canonical order, colouring-mask bits) of the
+    zig-zag paths (or cycles through the hub n-1) of K_n: a part's bits
+    are those of its edges in a colouring mask (see graphs.edge_offsets)."""
     if cycles:
         orders = tuple((n - 1,) + tuple(_zigzag(n - 1, i)) for i in range((n - 1) // 2))
     else:
         orders = tuple(tuple(_zigzag(n, i)) for i in range(n // 2))
+    off = edge_offsets(n)
     edge_lists = []
+    part_bits = []
     for order in orders:
-        edges = {canonical_edge(a, b) for a, b in zip(order, order[1:])}
+        # a part is a path or cycle, so each of its edges comes up once
+        steps = list(zip(order, order[1:]))
         if cycles:
-            edges.add(canonical_edge(order[-1], order[0]))
-        edge_lists.append(tuple(sorted(edges)))
-    return orders, tuple(edge_lists)
+            steps.append((order[-1], order[0]))
+        edges = sorted((a, b) if a < b else (b, a) for a, b in steps)
+        edge_lists.append(tuple(edges))
+        part_bits.append(sum(1 << (off[a] + b) for a, b in edges))
+    return orders, tuple(edge_lists), tuple(part_bits)
 
 
 def _decomposition(n: int, cycles: bool) -> Decomposition:
-    orders, edge_lists = _zigzag_parts(n, cycles)
+    orders, edge_lists, _ = _zigzag_parts(n, cycles)
     host = ColoredGraph.complete(n)
     return Decomposition(tuple(EdgeSubgraph(host, e) for e in edge_lists), orders)
 

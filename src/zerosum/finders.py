@@ -4,14 +4,18 @@ The finders answer every colouring; the census condition of the matching
 guarantee, and for spanning trees the host class, only writes the
 certificate.  The search behind each guarantee's finder reads the
 colouring alone, so that the oracle runs it on what it reads off a
-colouring mask.  The spanning-tree and spanning-path searches read edge
-colours through sign(e), and settle seed members (_tree_seed;
-_spanning_path) in one step (_settle): a light seed directly, otherwise
-the member the exchange-chain walk from the lightest seed to the
-heaviest stops at.  The diameter-3 and short-path searches (_diam3_tree,
-_short_zero_sum_path, and _short_zero_sum_paths for every vertex pair at
-once) read per-vertex -1 masks.  Every successful report is re-validated
-against the host signs.
+colouring mask.  The spanning-tree and spanning-path searches settle
+seed members (_tree_seed; _spanning_path) in one step (_settle) from the
+seeds' weights: a light seed directly, otherwise the member the
+exchange-chain walk, reading edge colours through sign(e), from the
+lightest seed to the heaviest stops at.  The tree search weighs its
+seeds through sign(e); the path search weighs each decomposition part
+by one popcount of the colouring mask (bit i set when canonical edge i
+is -1), and reads sign(e) only in the walk and the census route.  The
+diameter-3 and short-path searches (_diam3_tree, _short_zero_sum_path,
+and _short_zero_sum_paths for every vertex pair at once) read per-vertex
+-1 masks.  Every successful report is re-validated against the host
+signs.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .graphs import (
     canonical_edge,
     census,
     complete_edges,
+    edge_offsets,
     greedy_forest,
     host_class_check,
     is_diam3_tree,
@@ -101,22 +106,27 @@ def _validated(sub: EdgeSubgraph, predicate, certificate: str, replacements: int
     return FindReport(True, sub, w, certificate, replacements)
 
 
-def _settle(chain, n: int, seeds, sign) -> Optional[tuple]:
+def _weights(seeds, sign) -> list[int]:
+    """The weights of members given by their edges, through sign(e)."""
+    return [sum(map(sign, seed)) for seed in seeds]
+
+
+def _settle(chain, n: int, seed, weights, sign) -> Optional[tuple]:
     """(edges, replacements) of a member of |weight| <= 1 from seed members
-    of one family on n vertices, each given by its edges and weighed
-    through sign(e): the first light seed itself (0 replacements),
-    otherwise the member the walk along chain from the lightest seed to
-    the heaviest stops at (see families._walk).  None when the seed weights
-    do not straddle zero."""
-    weights = [sum(map(sign, seed)) for seed in seeds]
-    for seed, w in zip(seeds, weights):
+    of one family on n vertices, seed(i) giving the edges of the i-th and
+    weights[i] its weight: the first light seed itself (0 replacements),
+    otherwise the member the walk along chain, through sign(e), from the
+    lightest seed to the heaviest stops at (see families._walk).  None when
+    the seed weights do not straddle zero.  Only the seeds it answers or
+    walks between are asked for."""
+    for i, w in enumerate(weights):
         if abs(w) <= 1:
-            return seed, 0
+            return seed(i), 0
     lo = weights.index(min(weights))
     hi = weights.index(max(weights))
     if not weights[lo] < 0 < weights[hi]:
         return None
-    return _walk(chain, n, seeds[lo], seeds[hi], sign)
+    return _walk(chain, n, seed(lo), seed(hi), sign)
 
 
 def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindReport:
@@ -146,9 +156,10 @@ def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindRep
         holds, descr = guarantee.condition(n, census(g).minimum, d)
         basis = descr if holds else f"hypothesis not met: {descr}"
     k = guarantee.k(n)
-    edges, sign = g.edges, g.sign
-    seeds = [_tree_seed(n, (e for e in edges if sign[e] == s), edges, k) for s in (-1, 1)]
-    found = _settle(_tree_chain, n, seeds, sign.__getitem__)
+    edges, signs = g.edges, g.sign
+    seeds = [_tree_seed(n, (e for e in edges if signs[e] == s), edges, k) for s in (-1, 1)]
+    sign = signs.__getitem__
+    found = _settle(_tree_chain, n, seeds.__getitem__, _weights(seeds, sign), sign)
     if found is None:
         assert not holds, "seed trees of a met hypothesis straddle zero"
         return FindReport(False, None, 0, basis, 0)
@@ -215,40 +226,68 @@ def _linear_forest_to_hampath(n: int, forest: frozenset) -> frozenset:
     return frozenset(edges)
 
 
-def _spanning_path(sign, n: int) -> Optional[tuple]:
+def _rows_mask(minus, n: int) -> int:
+    """The colouring mask of K_n (bit i set when canonical edge i is -1)
+    read from its per-vertex -1 rows: row u's bits above u are u's edges
+    to later vertices, which sit at consecutive bits of the mask from
+    that of edge u(u+1)."""
+    off = edge_offsets(n)
+    mask = 0
+    for u, row in enumerate(minus):
+        mask |= (row >> (u + 1)) << (off[u] + u + 1)
+    return mask
+
+
+def _trimmed(part: tuple, bits: int, w: int, mask: int) -> tuple:
+    """The edges of a cycle of weight w != 0 in a colouring mask, less its
+    first edge of w's sign.  part lists the cycle's edges in canonical
+    order and bits holds their bits in the mask; that edge is the lowest
+    of its -1 bits (w < 0) or of its +1 bits, and its index in part is the
+    number of the cycle's bits below it."""
+    side = bits & (mask if w < 0 else ~mask)
+    cut = (bits & ((side & -side) - 1)).bit_count()
+    return part[:cut] + part[cut + 1 :]
+
+
+def _spanning_path(mask: int, sign, n: int) -> Optional[tuple]:
     """The search behind find_zero_sum_spanning_path, reading a colouring of
-    K_n, n >= 2, through sign(e) alone: (how, edges, replacements) of the
-    first Hamiltonian path with |weight| <= 1 it meets, or None when the
-    census route finds no half-sized linear forest in a colour class.
+    K_n, n >= 2, as its mask (bit i set when canonical edge i is -1) and
+    through sign(e), which agree: (how, edges, replacements) of the first
+    Hamiltonian path with |weight| <= 1 it meets, or None when the census
+    route finds no half-sized linear forest in a colour class.
 
     The decomposition route settles (see _settle) the zig-zag parts of
     K_n: its spanning paths (n even) or its spanning cycles (n odd), each
     cycle trimmed by its first edge, in sorted order, of its weight's sign.
-    When every part sits strictly on one side, the census route settles
-    the completions of the greedy half-sized linear forests of the two
-    colour classes."""
+    Each part is weighed from its mask bits by one popcount, and only a
+    walk between parts reads sign(e).  When every part sits strictly on
+    one side, the census route settles the completions of the greedy
+    half-sized linear forests of the two colour classes."""
     cycles = n % 2 == 1
-    parts = _zigzag_parts(n, cycles)[1]
+    _, parts, part_bits = _zigzag_parts(n, cycles)
+    # a part of k edges, b of them -1, weighs k - 2b
+    size = n if cycles else n - 1
+    weights = [size - 2 * (bits & mask).bit_count() for bits in part_bits]
     if cycles:
-        # n is odd, so no cycle weighs 0; dropping the first edge of its
-        # weight's sign moves a cycle's weight one step toward zero
-        seeds = []
-        for part in parts:
-            s = 1 if sum(map(sign, part)) > 0 else -1
-            cut = next(j for j, e in enumerate(part) if sign(e) == s)
-            seeds.append(part[:cut] + part[cut + 1 :])
+        # n is odd, so no cycle weighs 0, and trimming moves its weight one
+        # step toward zero
+        trimmed = [w + 1 if w < 0 else w - 1 for w in weights]
+
+        def seed(i):
+            return _trimmed(parts[i], part_bits[i], weights[i], mask)
+
+        found = _settle(_hampath_chain, n, seed, trimmed, sign)
         route, direct = "cycle-decomposition", "cycle-decomposition part trimmed by one edge"
     else:
-        seeds = parts
+        found = _settle(_hampath_chain, n, parts.__getitem__, weights, sign)
         route, direct = "path-decomposition", "path-decomposition part used directly"
-    found = _settle(_hampath_chain, n, seeds, sign)
     if found is None:
         k = GUARANTEES["path-census", "complete"].k(n)
         forests = [_linear_forest(sign, n, s, k) for s in (-1, 1)]
         if None in forests:
             return None
         seeds = [_linear_forest_to_hampath(n, f) for f in forests]
-        found = _settle(_hampath_chain, n, seeds, sign)
+        found = _settle(_hampath_chain, n, seeds.__getitem__, _weights(seeds, sign), sign)
         assert found is not None, "census-route seed paths straddle zero"
         route, direct = "census-route", "census-route completion used directly"
     edges, reps = found
@@ -257,7 +296,8 @@ def _spanning_path(sign, n: int) -> Optional[tuple]:
 
 def find_zero_sum_spanning_path(g: ColoredGraph) -> FindReport:
     """Hamiltonian path with |weight| <= 1 of a complete host, as
-    _spanning_path picks it from the host's signs.
+    _spanning_path picks it from the mask of the host's kept -1 rows and
+    its signs.
 
     Below the census threshold the census route's certificates start with
     the threshold text, and found=False there carries no proof that no
@@ -271,7 +311,7 @@ def find_zero_sum_spanning_path(g: ColoredGraph) -> FindReport:
     n = g.n
     if n < 2:
         raise DomainError("need at least 2 vertices")
-    found = _spanning_path(g.sign.__getitem__, n)
+    found = _spanning_path(_rows_mask(g.minus_masks(), n), g.sign.__getitem__, n)
     if found is None or found[0].startswith("census-route"):
         # the census condition writes only the census route's certificates
         holds, text = GUARANTEES["path-census", "complete"].condition(n, census(g).minimum)

@@ -31,6 +31,13 @@ def complete_edges(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
+def edge_offsets(n: int) -> list[int]:
+    """off[u] per vertex u of K_n, such that edge uv, u < v, is bit
+    off[u] + v of a colouring mask, whose bit i is edge i of
+    complete_edges(n)."""
+    return [u * (2 * n - u - 3) // 2 - 1 for u in range(n)]
+
+
 def adjacency(n: int, edges) -> list[list[int]]:
     """adj[v] lists the neighbours of v, for v < n, through edges."""
     adj: list[list[int]] = [[] for _ in range(n)]

@@ -164,7 +164,8 @@ def _tree_candidates(n: int) -> tuple:
         return seed(n, (e for i, e in enumerate(edges) if mask >> i & 1), edges, k)
 
     def walked(mask):
-        found = settle(_tree_chain, n, [minus_seed(mask), minus_seed(full ^ mask)], signs(mask))
+        seeds, sign = [minus_seed(mask), minus_seed(full ^ mask)], signs(mask)
+        found = settle(_tree_chain, n, seeds.__getitem__, finders._weights(seeds, sign), sign)
         return found[0] if found else None
 
     return (
@@ -188,14 +189,24 @@ def _diam3_candidates(n: int) -> tuple:
 
 def _path_candidates(n: int) -> tuple:
     """The candidate of the path theorems: the path that the finder's search
-    (finders._spanning_path) picks from the colouring's signs, or None."""
+    (finders._spanning_path) picks from the colouring's mask and signs, or
+    None."""
     search = finders._spanning_path
     signs = _mask_signs(n)
 
     def path(mask):
-        return (search(signs(mask), n) or (None, None))[1]
+        return (search(mask, signs(mask), n) or (None, None))[1]
 
     return (("spanning path", path),)
+
+
+def _sorted(values):
+    """values in sorted order for a refusal's text, or as given where they
+    cannot be sorted."""
+    try:
+        return sorted(values)
+    except TypeError:
+        return values
 
 
 def _family_table(kind, candidates, n: int, budget: EnumerationBudget):
@@ -212,17 +223,22 @@ def _family_table(kind, candidates, n: int, budget: EnumerationBudget):
     def check(mask):
         # every candidate is checked here against the oracle's own member
         # table, so the finder is trusted for nothing: no edges (t = 0) or
-        # an edge not of K_n in canonical order (t = -1) is no member and is
-        # refused, a light member (n-1 edges, |weight| <= 1) confirms, and a
-        # heavy one passes on to the next candidate or, the last, is refused
+        # an edge not of K_n in canonical order (t = -1), whatever its type,
+        # is no member and is refused, a light member (n-1 edges, |weight|
+        # <= 1) confirms, and a heavy one passes on to the next candidate
+        # or, the last, is refused
         for name, edges in candidates:
             sub = edges(mask)
             t = 0
-            for e in sub or ():
-                t |= bit.get(e, -1)
+            try:
+                for e in sub or ():
+                    t |= bit.get(e, -1)
+            except TypeError:
+                # edges that are not iterable, or an edge that is no key
+                t = -1
             i = bisect_left(members, t)
             if i == size or members[i] != t:
-                what = "not found" if sub is None else f"{sorted(sub)} is outside the family"
+                what = "not found" if sub is None else f"{_sorted(sub)} is outside the family"
                 break
             if abs(n - 1 - 2 * (t & mask).bit_count()) <= 1:
                 return None
@@ -297,27 +313,31 @@ def _connected_table(n: int, budget: EnumerationBudget):
                 else:
                     reason = "oracle found no short zero-sum path"
                 break
-            if len(path) == 3:
-                # x-u-y is zero-sum iff u sees x and y with opposite signs
-                u = path[1]
-                if (
-                    path[0] == x
-                    and path[2] == y
-                    and 0 <= u < n
-                    and u != x
-                    and u != y
-                    and ((minus[x] ^ minus[y]) >> u) & 1
+            try:
+                if len(path) == 3:
+                    # x-u-y is zero-sum iff u sees x and y with opposite signs
+                    u = path[1]
+                    if (
+                        path[0] == x
+                        and path[2] == y
+                        and 0 <= u < n
+                        and u != x
+                        and u != y
+                        and ((minus[x] ^ minus[y]) >> u) & 1
+                    ):
+                        continue
+                elif (
+                    # x..y with 4 edges, distinct vertices of K_n, two of them -1
+                    len(path) == 5
+                    and path[0] == x
+                    and path[4] == y
+                    and len(vertices.intersection(path)) == 5
+                    and sum((minus[a] >> b) & 1 for a, b in zip(path, path[1:])) == 2
                 ):
                     continue
-            elif (
-                # x..y with 4 edges, distinct vertices of K_n, two of them -1
-                len(path) == 5
-                and path[0] == x
-                and path[4] == y
-                and len(vertices.intersection(path)) == 5
-                and sum((minus[a] >> b) & 1 for a, b in zip(path, path[1:])) == 2
-            ):
-                continue
+            except (TypeError, LookupError):
+                # no sequence of vertices, or a vertex that is no int
+                pass
             reason = f"finder failed: {path} is not a zero-sum {x}..{y} path of length 2 or 4"
             break
         else:

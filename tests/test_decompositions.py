@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from zerosum.decompositions import (
+    _zigzag_parts,
     hamilton_cycle_decomposition,
     hamilton_path_decomposition,
 )
 from zerosum.errors import DomainError
-from zerosum.graphs import EdgeSubgraph, binomial, is_hamiltonian_path
+from zerosum.finders import _trimmed
+from zerosum.graphs import EdgeSubgraph, binomial, complete_edges, is_hamiltonian_path
 
 
 def _check_partition(parts, n):
@@ -64,3 +68,46 @@ def test_deterministic_output():
     assert a.orders == b.orders
     assert [p.edges for p in a.parts] == [p.edges for p in b.parts]
 
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_part_bits_split_the_colouring_mask(n):
+    # each part's bits are its edges' canonical bits, and the parts' bits
+    # are pairwise disjoint and cover every edge of K_n
+    _, parts, part_bits = _zigzag_parts(n, n % 2 == 1)
+    index = {e: i for i, e in enumerate(complete_edges(n))}
+    seen = 0
+    for part, bits in zip(parts, part_bits):
+        assert bits == sum(1 << index[e] for e in part)
+        assert not seen & bits
+        seen |= bits
+    assert seen == (1 << binomial(n, 2)) - 1
+
+
+def _first_edge_dropped(part, sign):
+    """The cycle less its first edge, in sorted order, of its weight's sign."""
+    s = 1 if sum(map(sign, part)) > 0 else -1
+    edges = sorted(part)
+    cut = next(j for j, e in enumerate(edges) if sign(e) == s)
+    return tuple(edges[:cut] + edges[cut + 1 :])
+
+
+@pytest.mark.parametrize(
+    "n, masks",
+    [
+        (5, range(1 << 10)),
+        (9, [random.Random(9).getrandbits(36) for _ in range(400)]),
+        (11, [random.Random(11).getrandbits(55) for _ in range(400)]),
+    ],
+    ids=["k5-every", "k9-seeded", "k11-seeded"],
+)
+def test_popcount_cut_is_the_first_edge_of_the_weight_sign(n, masks):
+    _, parts, part_bits = _zigzag_parts(n, True)
+    index = {e: i for i, e in enumerate(complete_edges(n))}
+    for mask in masks:
+        def sign(e):
+            return -1 if mask >> index[e] & 1 else 1
+
+        for part, bits in zip(parts, part_bits):
+            w = n - 2 * (bits & mask).bit_count()
+            assert w == sum(map(sign, part))
+            assert _trimmed(part, bits, w, mask) == _first_edge_dropped(part, sign)

@@ -24,8 +24,10 @@ from zerosum.families import Diam3Trees, HamiltonianPaths, SpanningTrees
 from zerosum.finders import (
     _diam3_tree,
     _linear_forest,
+    _rows_mask,
     _short_zero_sum_path,
     _short_zero_sum_paths,
+    _spanning_path,
     check_zero_sum_matching,
     extract_monochromatic_forest,
     find_zero_sum_diam3_tree,
@@ -51,7 +53,15 @@ from zerosum.graphs import (
     tree_diameter,
     weight,
 )
-from zerosum.oracle import EnumerationBudget, _CHECKS, _census_met, _member_masks, enumerate_family
+from zerosum.oracle import (
+    EnumerationBudget,
+    _CHECKS,
+    _census_met,
+    _mask_signs,
+    _member_masks,
+    _minus_rows,
+    enumerate_family,
+)
 from zerosum.thresholds import ex_forest, spanning_path_threshold
 
 
@@ -379,6 +389,41 @@ def test_path_finder_census_gap_corpus(n):
         assert is_hamiltonian_path(report.subgraph) and abs(report.weight) <= 1
         census_route += report.certificate.startswith("census-route")
     assert census_route > 0
+
+
+@pytest.mark.parametrize("n", [5] + list(range(6, 41, 3)) + [40])
+def test_rows_mask_inverts_the_oracle_minus_rows(n):
+    edges = complete_edges(n)
+    m = len(edges)
+    if n == 5:
+        masks = range(1 << m)
+    else:
+        rng = random.Random(n)
+        masks = [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(50)]
+    for mask in masks:
+        assert _rows_mask(_minus_rows(n, edges, mask), n) == mask
+
+
+@pytest.mark.parametrize("n", range(8, 14))
+def test_path_search_answers_alike_on_finder_and_oracle_inputs(n):
+    # the finder hands the search the mask of its -1 rows and its sign
+    # table, the oracle the colouring mask and the signs read off it; on
+    # colourings around the census threshold, where the census route
+    # runs, and at random, both must give the same answer
+    edges = complete_edges(n)
+    m = len(edges)
+    signs = _mask_signs(n)
+    t = spanning_path_threshold(n)
+    rng = random.Random(n)
+    routes = set()
+    for _ in range(120):
+        minus = rng.choice([t - 1, t, t + 1, t + 2, rng.randint(0, m)])
+        mask = sum(1 << i for i in rng.sample(range(m), minus))
+        g = complete_from_mask(n, mask)
+        found = _spanning_path(_rows_mask(g.minus_masks(), n), g.sign.__getitem__, n)
+        assert found == _spanning_path(mask, signs(mask), n)
+        routes.add(found and found[0].split()[0])
+    assert {"census-route", "path-decomposition" if n % 2 == 0 else "cycle-decomposition"} <= routes
 
 
 def test_path_finder_not_found_reports_routes():

@@ -635,9 +635,11 @@ def test_family_scan_checks_the_finder_member_itself(monkeypatch, theorem, fake,
         rows = [(u, v) for u, v in complete_edges(n) if minus[u] >> v & 1]
         return fake and ("fake", fake(ColoredGraph.complete_with_minus(n, rows)))
 
-    def lying_path_search(sign, n):
-        # the path scans run the finder's search on the colouring's signs
-        rows = [e for e in complete_edges(n) if sign(e) < 0]
+    def lying_path_search(mask, sign, n):
+        # the path scans run the finder's search on the colouring's mask
+        # and signs
+        rows = [e for i, e in enumerate(complete_edges(n)) if mask >> i & 1]
+        assert rows == [e for e in complete_edges(n) if sign(e) < 0]
         return fake and ("fake", fake(ColoredGraph.complete_with_minus(n, rows)), 0)
 
     if theorem == "diam3":
@@ -661,6 +663,50 @@ def test_family_scan_checks_the_finder_member_itself(monkeypatch, theorem, fake,
         else:
             reason = f"finder failed: {name} {sorted(fake(g))} is outside the family"
         assert ce["reason"] == reason
+
+
+@pytest.mark.parametrize(
+    "retype, shown",
+    [
+        (lambda edges: [list(e) for e in edges], lambda edges: sorted(list(e) for e in edges)),
+        (lambda edges: sorted(edges) + [None], lambda edges: sorted(edges) + [None]),
+    ],
+    ids=["edges-as-lists", "edge-none"],
+)
+def test_family_scan_refuses_edges_of_the_wrong_type(monkeypatch, retype, shown):
+    # a search that hands over its light path with each edge a list, or
+    # with a None among its edges, is refused in the check's own words,
+    # not stopped by a TypeError: neither is an edge of K_n, and edges
+    # that cannot be sorted are shown as handed over
+    search = finders._spanning_path
+
+    def retyped_path_search(mask, sign, n):
+        how, edges, reps = search(mask, sign, n)
+        return how, retype(edges), reps
+
+    monkeypatch.setattr(finders, "_spanning_path", retyped_path_search)
+    report = exhaustive_theorem_check("path-census", 6, shard=(12345, 12345 + 64))
+    assert report.hypothesis_met > 0 and report.confirmed == 0
+    assert len(report.counterexamples) == report.hypothesis_met
+    for ce in report.counterexamples:
+        edges = search(ce["mask"], oracle._mask_signs(6)(ce["mask"]), 6)[1]
+        reason = f"finder failed: spanning path {shown(edges)} is outside the family"
+        assert ce["reason"] == reason
+
+
+def test_connected_scan_refuses_a_vertex_of_the_wrong_type(monkeypatch):
+    # a middle vertex that is no int is refused at the first pair, in the
+    # check's own words, not stopped by a TypeError
+    def lettered(minus, n):
+        for x, y in itertools.combinations(range(n), 2):
+            yield [x, "a", y]
+
+    monkeypatch.setattr(finders, "_short_zero_sum_paths", lettered)
+    report = exhaustive_theorem_check("connected", 6, shard=(12345, 12345 + 64))
+    assert report.hypothesis_met > 0 and report.confirmed == 0
+    assert len(report.counterexamples) == report.hypothesis_met
+    reason = "finder failed: [0, 'a', 1] is not a zero-sum 0..1 path of length 2 or 4"
+    assert all(ce["pair"] == [0, 1] and ce["reason"] == reason for ce in report.counterexamples)
 
 
 def test_tree_scan_builds_no_graph(monkeypatch):
@@ -806,9 +852,10 @@ def test_tree_scan_interpolation_agrees_with_the_finder(monkeypatch):
     settle = finders._settle
     walked = []
 
-    def recording_settle(chain, n, seeds, sign):
+    def recording_settle(chain, n, seed, weights, sign):
         mask = sum(1 << i for i, e in enumerate(complete_edges(n)) if sign(e) < 0)
-        walked.append((mask, settle(chain, n, seeds, sign)))
+        assert weights == [sum(map(sign, seed(i))) for i in range(2)]
+        walked.append((mask, settle(chain, n, seed, weights, sign)))
         return walked[-1][1]
 
     monkeypatch.setattr(finders, "_settle", recording_settle)
@@ -831,7 +878,7 @@ def test_tree_scan_checks_the_interpolated_tree_itself(monkeypatch):
 
     light = []
 
-    def cycle(chain, n, seeds, sign):
+    def cycle(chain, n, seed, weights, sign):
         edges = frozenset((v, v + 1) for v in range(n - 2)) | {(0, n - 2)}
         light.append(abs(sum(map(sign, edges))) <= 1)
         return edges, 1
