@@ -30,7 +30,6 @@ from .graphs import (
 from .oracle import EnumerationBudget, enumerate_family
 from .thresholds import (
     ex_forest,
-    ex_linear_forest,
     ex_star,
     forest_bound_degenerate,
     forest_bound_planar,
@@ -287,7 +286,7 @@ class PathSharpness:
         val_join = len(_linear_forest_witness_edges(n, k, "join"))
         which = "clique" if val_clique >= val_join else "join"
         g = ColoredGraph.complete_with_minus(n, _linear_forest_witness_edges(n, k, which))
-        assert census(g).e_minus == ex_linear_forest(n, k) == spanning_path_threshold(n)
+        assert census(g).e_minus == spanning_path_threshold(n)
         return g
 
     def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
@@ -567,14 +566,12 @@ def construction_from_args(name: str, params: list[str]):
     if len(params) != len(names):
         raise DomainError(f"construction {name} takes parameters {names}")
     args = []
-    for field_name, value in zip(names, params):
-        if field_name == "which":
-            args.append(value)
-        else:
-            try:
-                args.append(int(value))
-            except ValueError:
-                raise DomainError(f"parameter {field_name} must be an integer") from None
+    for f, value in zip(fields(cls), params):
+        try:
+            # the field's declared type parses its parameter text
+            args.append({"int": int, "str": str}[f.type](value))
+        except ValueError:
+            raise DomainError(f"parameter {f.name} must be an integer") from None
     return cls(*args)
 
 

@@ -2,20 +2,16 @@
 
 The finders answer every colouring; the census condition of the matching
 guarantee, and for spanning trees the host class, only writes the
-certificate.  The search behind each guarantee's finder reads the
-colouring alone, so that the oracle runs it on what it reads off a
-colouring mask.  The spanning-tree and spanning-path searches settle
-seed members (_tree_seed; _spanning_path) in one step (_settle) from the
-seeds' weights: a light seed directly, otherwise the member the
-exchange-chain walk, reading edge colours through sign(e), from the
-lightest seed to the heaviest stops at.  The tree search weighs its
-seeds through sign(e); the path search weighs each decomposition part
-by one popcount of the colouring mask (bit i set when canonical edge i
-is -1), and reads sign(e) only in the walk and the census route.  The
-diameter-3 and short-path searches (_diam3_tree, _short_zero_sum_path,
-and _short_zero_sum_paths for every vertex pair at once) read per-vertex
--1 masks.  Every successful report is re-validated against the host
-signs.
+certificate.  The search behind each finder reads the colouring alone,
+in one form, so that the oracle runs it on what it reads off a colouring
+mask: the tree search edge streams, as it serves any host; the path
+search the mask (bit i set when canonical edge i is -1); the diameter-3
+and short-path searches (_diam3_tree, _short_zero_sum_path and
+_short_zero_sum_paths) per-vertex -1 masks.  The tree and path searches
+settle seeds (_tree_seed; _spanning_path) in one step (_settle): a light
+seed directly, otherwise the member the exchange-chain walk from the
+lightest seed to the heaviest stops at, reading edge colours through
+sign(e).  Every successful report is re-validated against the host signs.
 """
 
 from __future__ import annotations
@@ -173,9 +169,9 @@ def find_zero_sum_spanning_tree(g: ColoredGraph, host_class=COMPLETE) -> FindRep
 # --- spanning paths -----------------------------------------------------------
 
 
-def _linear_forest(sign, n: int, s: int, k: int) -> Optional[frozenset]:
-    """A k-edge linear forest inside the colour class s of K_n, colours
-    read through sign(e), or None.
+def _linear_forest(mask: int, n: int, s: int, k: int) -> Optional[frozenset]:
+    """A k-edge linear forest inside the colour class s of K_n, read off
+    a colouring mask (bit i set when canonical edge i is -1), or None.
 
     One greedy pass over the class's edges, lowest sum of endpoint class
     degrees first (ties in canonical order): an edge is taken when both
@@ -183,7 +179,8 @@ def _linear_forest(sign, n: int, s: int, k: int) -> Optional[frozenset]:
     path.  end[v] is the other end of the path that v ends, v itself while
     v is isolated, so no union-find is needed.
     """
-    pool = [e for e in complete_edges(n) if sign(e) == s]
+    bits = format(mask, f"0{n * (n - 1) // 2}b")[::-1]  # bit i at index i
+    pool = [e for e, b in zip(complete_edges(n), bits) if b == ("1" if s < 0 else "0")]
     deg = [0] * n
     for u, v in pool:
         deg[u] += 1
@@ -238,6 +235,21 @@ def _rows_mask(minus, n: int) -> int:
     return mask
 
 
+def _mask_sign(mask: int, n: int):
+    """sign(e), the +-1 colour of canonical edge e = (u, v) of K_n in a
+    colouring mask (-1 when bit off[u] + v is set, see graphs.edge_offsets);
+    KeyError for any other pair, as from a graph's sign table."""
+    off = edge_offsets(n)
+
+    def sign(e):
+        u, v = e
+        if not 0 <= u < v < n:
+            raise KeyError(e)
+        return 1 - 2 * (mask >> (off[u] + v) & 1)
+
+    return sign
+
+
 def _trimmed(part: tuple, bits: int, w: int, mask: int) -> tuple:
     """The edges of a cycle of weight w != 0 in a colouring mask, less its
     first edge of w's sign.  part lists the cycle's edges in canonical
@@ -249,20 +261,21 @@ def _trimmed(part: tuple, bits: int, w: int, mask: int) -> tuple:
     return part[:cut] + part[cut + 1 :]
 
 
-def _spanning_path(mask: int, sign, n: int) -> Optional[tuple]:
+def _spanning_path(mask: int, n: int) -> Optional[tuple]:
     """The search behind find_zero_sum_spanning_path, reading a colouring of
-    K_n, n >= 2, as its mask (bit i set when canonical edge i is -1) and
-    through sign(e), which agree: (how, edges, replacements) of the first
-    Hamiltonian path with |weight| <= 1 it meets, or None when the census
-    route finds no half-sized linear forest in a colour class.
+    K_n, n >= 2, as its mask alone (bit i set when canonical edge i is
+    -1): (how, edges, replacements) of the first Hamiltonian path with
+    |weight| <= 1 it meets, or None when the census route finds no
+    half-sized linear forest in a colour class.
 
     The decomposition route settles (see _settle) the zig-zag parts of
     K_n: its spanning paths (n even) or its spanning cycles (n odd), each
-    cycle trimmed by its first edge, in sorted order, of its weight's sign.
-    Each part is weighed from its mask bits by one popcount, and only a
-    walk between parts reads sign(e).  When every part sits strictly on
-    one side, the census route settles the completions of the greedy
-    half-sized linear forests of the two colour classes."""
+    cycle trimmed by its first edge, in sorted order, of its weight's sign,
+    and each part weighed by one popcount of its mask bits.  When every
+    part sits strictly on one side, the census route settles the
+    completions of the greedy half-sized linear forests of the two colour
+    classes.  Walks and census seeds read sign(e) off the mask (_mask_sign)."""
+    sign = _mask_sign(mask, n)
     cycles = n % 2 == 1
     _, parts, part_bits = _zigzag_parts(n, cycles)
     # a part of k edges, b of them -1, weighs k - 2b
@@ -283,7 +296,7 @@ def _spanning_path(mask: int, sign, n: int) -> Optional[tuple]:
         route, direct = "path-decomposition", "path-decomposition part used directly"
     if found is None:
         k = GUARANTEES["path-census", "complete"].k(n)
-        forests = [_linear_forest(sign, n, s, k) for s in (-1, 1)]
+        forests = [_linear_forest(mask, n, s, k) for s in (-1, 1)]
         if None in forests:
             return None
         seeds = [_linear_forest_to_hampath(n, f) for f in forests]
@@ -296,8 +309,7 @@ def _spanning_path(mask: int, sign, n: int) -> Optional[tuple]:
 
 def find_zero_sum_spanning_path(g: ColoredGraph) -> FindReport:
     """Hamiltonian path with |weight| <= 1 of a complete host, as
-    _spanning_path picks it from the mask of the host's kept -1 rows and
-    its signs.
+    _spanning_path picks it from the mask of the host's kept -1 rows.
 
     Below the census threshold the census route's certificates start with
     the threshold text, and found=False there carries no proof that no
@@ -311,7 +323,7 @@ def find_zero_sum_spanning_path(g: ColoredGraph) -> FindReport:
     n = g.n
     if n < 2:
         raise DomainError("need at least 2 vertices")
-    found = _spanning_path(_rows_mask(g.minus_masks(), n), g.sign.__getitem__, n)
+    found = _spanning_path(_rows_mask(g.minus_masks(), n), n)
     if found is None or found[0].startswith("census-route"):
         # the census condition writes only the census route's certificates
         holds, text = GUARANTEES["path-census", "complete"].condition(n, census(g).minimum)

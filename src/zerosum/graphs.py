@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 from .errors import DomainError, GraphFormatError
@@ -31,11 +32,12 @@ def complete_edges(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-def edge_offsets(n: int) -> list[int]:
+@lru_cache(maxsize=8)
+def edge_offsets(n: int) -> tuple[int, ...]:
     """off[u] per vertex u of K_n, such that edge uv, u < v, is bit
     off[u] + v of a colouring mask, whose bit i is edge i of
-    complete_edges(n)."""
-    return [u * (2 * n - u - 3) // 2 - 1 for u in range(n)]
+    complete_edges(n); kept for the last few orders asked for."""
+    return tuple(u * (2 * n - u - 3) // 2 - 1 for u in range(n))
 
 
 def adjacency(n: int, edges) -> list[list[int]]:

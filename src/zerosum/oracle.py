@@ -1,17 +1,17 @@
 """Brute-force ground truth at desk scale.
 
-Enumerates whole families (spanning trees, Hamiltonian paths,
-diameter-3 trees, perfect matchings) and iterates entire colouring
-spaces as sign bitmasks over the canonical edge order.  Each theorem
-has one check, built once per call, that one loop runs on every
-colouring meeting the hypothesis.  Every check runs the finder's own
-search on what it reads off the mask, the per-vertex -1 rows or the
-sign of an edge, so no colouring is built into a graph.  The searches
-hand over edges or paths only, and each check has one shape: it tests
-the finder's member (a family check against the oracle's own table of
-members and the colouring; the connected check each path's ends and
-signs against its own list of vertex pairs), and only to word a refusal
-tests whether one exists.
+Enumerates whole families (spanning trees, Hamiltonian paths, diameter-3
+trees, perfect matchings) and iterates entire colouring spaces as sign
+bitmasks over the canonical edge order.  Each theorem has one check,
+built once per call, that one loop runs on every colouring meeting the
+hypothesis.  Every check runs the finder's own search on the one form of
+the colouring it reads off the mask (the mask, its -1 rows or its
+edges), so no colouring is built into a graph.  The searches hand over
+edges or paths only, and each check has one shape: it tests the finder's
+member (a family check against the oracle's own table of members and the
+colouring; the connected check each path's ends and signs against its
+own list of vertex pairs), and only to word a refusal tests whether one
+exists.
 
 Enumerations refuse instead of sampling when a budget would be
 exceeded.  Colouring ranges shard cleanly: shards share nothing and
@@ -141,13 +141,6 @@ def _census_met(theorem: str, n: int) -> list[bool]:
     return [guarantee.holds(min(e, m - e), bound) for e in range(m + 1)]
 
 
-def _mask_signs(n: int):
-    """signs(mask), the function sign(e) that reads the +-1 colour of each
-    canonical edge e of K_n off a colouring mask."""
-    index = {e: i for i, e in enumerate(complete_edges(n))}
-    return lambda mask: lambda e: 1 - 2 * (mask >> index[e] & 1)
-
-
 def _tree_candidates(n: int) -> tuple:
     """The candidates of the tree theorem, in the order tried: the finder's
     seeds through the colouring's -1 and then its +1 edges, read off the
@@ -158,13 +151,12 @@ def _tree_candidates(n: int) -> tuple:
     full = (1 << len(edges)) - 1
     k = GUARANTEES["tree", "complete"].k(n)
     seed, settle = finders._tree_seed, finders._settle
-    signs = _mask_signs(n)
 
     def minus_seed(mask):
         return seed(n, (e for i, e in enumerate(edges) if mask >> i & 1), edges, k)
 
     def walked(mask):
-        seeds, sign = [minus_seed(mask), minus_seed(full ^ mask)], signs(mask)
+        seeds, sign = [minus_seed(mask), minus_seed(full ^ mask)], finders._mask_sign(mask, n)
         found = settle(_tree_chain, n, seeds.__getitem__, finders._weights(seeds, sign), sign)
         return found[0] if found else None
 
@@ -189,13 +181,11 @@ def _diam3_candidates(n: int) -> tuple:
 
 def _path_candidates(n: int) -> tuple:
     """The candidate of the path theorems: the path that the finder's search
-    (finders._spanning_path) picks from the colouring's mask and signs, or
-    None."""
+    (finders._spanning_path) picks from the colouring mask, or None."""
     search = finders._spanning_path
-    signs = _mask_signs(n)
 
     def path(mask):
-        return (search(mask, signs(mask), n) or (None, None))[1]
+        return (search(mask, n) or (None, None))[1]
 
     return (("spanning path", path),)
 

@@ -74,14 +74,11 @@ def forest_bound_planar(k: int) -> int:
 
 
 def spanning_path_threshold(n: int) -> int:
-    """Census threshold for zero-sum or almost zero-sum spanning paths.
-
-    Equals ex(n, half-sized linear forests) = ex_linear_forest(n, floor((n-1)/2)).
-    """
+    """Census threshold for zero-sum or almost zero-sum spanning paths:
+    ex(n, half-sized linear forests) = ex_linear_forest(n, floor((n-1)/2))."""
     if n < 3:
         raise DomainError(f"need n >= 3, got n={n}")
-    c = ((n - 1) // 2 - 1) % 2
-    return binomial(n, 2) - binomial(n - (n - 3) // 4, 2) + c
+    return ex_linear_forest(n, (n - 1) // 2)
 
 
 @dataclass(frozen=True, eq=False)

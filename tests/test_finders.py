@@ -6,6 +6,7 @@ import time
 import pytest
 
 from conftest import complete_from_mask, random_complete
+from zerosum import finders
 from zerosum.errors import BudgetExceeded, DomainError
 from zerosum.extremal import (
     ConnectivityMatching,
@@ -24,10 +25,10 @@ from zerosum.families import Diam3Trees, HamiltonianPaths, SpanningTrees
 from zerosum.finders import (
     _diam3_tree,
     _linear_forest,
+    _mask_sign,
     _rows_mask,
     _short_zero_sum_path,
     _short_zero_sum_paths,
-    _spanning_path,
     check_zero_sum_matching,
     extract_monochromatic_forest,
     find_zero_sum_diam3_tree,
@@ -57,9 +58,9 @@ from zerosum.oracle import (
     EnumerationBudget,
     _CHECKS,
     _census_met,
-    _mask_signs,
     _member_masks,
     _minus_rows,
+    _path_candidates,
     enumerate_family,
 )
 from zerosum.thresholds import ex_forest, spanning_path_threshold
@@ -355,15 +356,14 @@ def test_linear_forest_constructor_matches_exhaustive_search(n):
     bound = spanning_path_threshold(n) if n >= 3 else 0
     for mask in range(1 << binomial(n, 2)):
         g = complete_from_mask(n, mask)
-        signs = g.sign.__getitem__
         for sign in (-1, 1):
-            forest = _linear_forest(signs, n, sign, k)
+            forest = _linear_forest(mask, n, sign, k)
             assert (forest is not None) == (_find_linear_forest(g, sign, k) is not None), mask
             if forest is not None:
                 assert len(forest) == k and all(g.sign[e] == sign for e in forest)
                 assert is_linear_forest(EdgeSubgraph._unchecked(g, forest))
         if census(g).minimum > bound:
-            assert all(_linear_forest(signs, n, sign, k) is not None for sign in (-1, 1))
+            assert all(_linear_forest(mask, n, sign, k) is not None for sign in (-1, 1))
 
 
 @pytest.mark.parametrize("n", [13, 14, 15, 16, 20, 25, 30, 40])
@@ -404,24 +404,60 @@ def test_rows_mask_inverts_the_oracle_minus_rows(n):
         assert _rows_mask(_minus_rows(n, edges, mask), n) == mask
 
 
+@pytest.mark.parametrize("n", [5] + list(range(6, 41, 3)) + [40])
+def test_mask_sign_reads_the_sign_table(n):
+    # the one reader of sign(e) off a colouring mask gives the graph's
+    # sign on every canonical edge, and like the graph's sign table
+    # refuses any other edge rather than read another edge's bit
+    m = binomial(n, 2)
+    if n == 5:
+        masks = range(1 << m)
+    else:
+        rng = random.Random(n)
+        masks = [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(50)]
+    for mask in masks:
+        g = complete_from_mask(n, mask)
+        sign = _mask_sign(mask, n)
+        assert [sign(e) for e in complete_edges(n)] == [g.sign[e] for e in complete_edges(n)]
+    for e in [(1, 0), (n - 1, 0), (2, 2), (-1, 1), (0, n), (n - 2, n), (n, n + 1)]:
+        with pytest.raises(KeyError):
+            g.sign[e]
+        with pytest.raises(KeyError):
+            sign(e)
+
+
 @pytest.mark.parametrize("n", range(8, 14))
-def test_path_search_answers_alike_on_finder_and_oracle_inputs(n):
-    # the finder hands the search the mask of its -1 rows and its sign
-    # table, the oracle the colouring mask and the signs read off it; on
-    # colourings around the census threshold, where the census route
-    # runs, and at random, both must give the same answer
-    edges = complete_edges(n)
-    m = len(edges)
-    signs = _mask_signs(n)
+def test_path_search_answers_alike_on_finder_and_oracle_inputs(monkeypatch, n):
+    # the finder hands the search the mask of its kept -1 rows; that must
+    # be the colouring mask itself, so that it reports the path the
+    # oracle's path candidate picks, on colourings around the census
+    # threshold, where the census route runs, and at random
+    search = finders._spanning_path
+    [(_, oracle_path)] = _path_candidates(n)
+    handed = []
+
+    def recording_search(mask, n):
+        found = search(mask, n)
+        handed.append((mask, found))
+        return found
+
+    monkeypatch.setattr(finders, "_spanning_path", recording_search)
+    m = binomial(n, 2)
     t = spanning_path_threshold(n)
     rng = random.Random(n)
     routes = set()
     for _ in range(120):
         minus = rng.choice([t - 1, t, t + 1, t + 2, rng.randint(0, m)])
         mask = sum(1 << i for i in rng.sample(range(m), minus))
-        g = complete_from_mask(n, mask)
-        found = _spanning_path(_rows_mask(g.minus_masks(), n), g.sign.__getitem__, n)
-        assert found == _spanning_path(mask, signs(mask), n)
+        report = find_zero_sum_spanning_path(complete_from_mask(n, mask))
+        [(handed_mask, found)] = handed
+        handed.clear()
+        assert handed_mask == mask
+        path = oracle_path(mask)
+        if report.found:
+            assert report.subgraph.edges == frozenset(path)
+        else:
+            assert path is None
         routes.add(found and found[0].split()[0])
     assert {"census-route", "path-decomposition" if n % 2 == 0 else "cycle-decomposition"} <= routes
 
