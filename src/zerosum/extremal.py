@@ -33,6 +33,7 @@ from .thresholds import (
     ex_star,
     forest_bound_degenerate,
     forest_bound_planar,
+    linear_forest_witness_sizes,
     spanning_path_threshold,
 )
 
@@ -226,13 +227,8 @@ class TuranLinearForest:
         return _all_minus(self.n, _linear_forest_witness_edges(self.n, self.k, self.which))
 
     def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
-        n, k = self.n, self.k
-        expected = (
-            binomial(k, 2)
-            if self.which == "clique"
-            else binomial(n, 2) - binomial(n - (k - 1) // 2, 2) + (k - 1) % 2
-        )
-        return len(g.edges) == expected and _find_linear_forest(g, -1, k, budget) is None
+        expected = linear_forest_witness_sizes(self.n, self.k)[self.which]
+        return len(g.edges) == expected and _find_linear_forest(g, -1, self.k, budget) is None
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,22 @@ from .errors import DomainError
 from .graphs import ColoredGraph, EdgeSubgraph, binomial, census
 
 
-def ex_linear_forest(n: int, k: int) -> int:
-    """Most edges of an n-vertex graph with no linear forest of k edges.
-
-    max{ C(k,2), C(n,2) - C(n - floor((k-1)/2), 2) + c } with c the parity
-    of k-1.
-    """
+def linear_forest_witness_sizes(n: int, k: int) -> dict[str, int]:
+    """Edge counts of the two n-vertex graphs with no linear forest of k
+    edges whose larger gives ex_linear_forest: "clique", K_k plus isolated
+    vertices, C(k,2); "join", s = floor((k-1)/2) vertices joined to all
+    others plus one more edge when c, the parity of k-1, is 1,
+    C(n,2) - C(n-s,2) + c."""
     if not 1 <= k <= n - 1:
         raise DomainError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    c = (k - 1) % 2
     s = (k - 1) // 2
-    return max(binomial(k, 2), binomial(n, 2) - binomial(n - s, 2) + c)
+    return {"clique": binomial(k, 2), "join": binomial(n, 2) - binomial(n - s, 2) + (k - 1) % 2}
+
+
+def ex_linear_forest(n: int, k: int) -> int:
+    """Most edges of an n-vertex graph with no linear forest of k edges:
+    the larger of linear_forest_witness_sizes(n, k)."""
+    return max(linear_forest_witness_sizes(n, k).values())
 
 
 def ex_forest(n: int, k: int) -> int:

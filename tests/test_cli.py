@@ -257,6 +257,32 @@ def test_verify_shard_outside_a_huge_space_is_exit_2(capsys):
     assert err.splitlines() == ["error: shard [5,3) outside colouring space [0,2^979300)"]
 
 
+@pytest.mark.parametrize("theorem", ["diam3", "connected"])
+@pytest.mark.parametrize("lo, hi", [(0, 0), (64, 64), (63, 64)])
+def test_verify_shards_at_the_ends_of_the_space(capsys, theorem, lo, hi):
+    # K_4 has 2^6 colourings; the scan builds a colouring's -1 rows only
+    # once its shard has a mask, so [64, 64) reads no bit 6, which is no edge
+    shard = ["--shard", str(lo), str(hi)]
+    code, out, err = run_cli(capsys, ["verify", theorem, "4", *shard])
+    assert (code, err) == (0, "")
+    assert out == (
+        f"{theorem} n=4: {hi - lo} colourings, 0 met the hypothesis, 0 confirmed, "
+        "0 counterexamples\n"
+    )
+    code, out, err = run_cli(capsys, ["verify", theorem, "4", *shard, "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out.splitlines()[-1]) == {
+        "type": "summary",
+        "theorem": theorem,
+        "n": 4,
+        "range": [lo, hi],
+        "colourings": hi - lo,
+        "hypothesis_met": 0,
+        "confirmed": 0,
+        "counterexamples": 0,
+    }
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_json_progress_carries_rate_and_totals(capsys, jobs):
     code, out, _ = run_cli(capsys, ["verify", "tree", "6", "--json", "--jobs", jobs])

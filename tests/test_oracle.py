@@ -516,6 +516,51 @@ def test_connected_scan_calls_the_search_once_per_met_colouring(monkeypatch):
     assert len(calls) == report.hypothesis_met
 
 
+def _is_zero_sum_path(minus, n, x, y, path):
+    """Whether path is an x..y path of K_n of length 2 or 4, half its
+    edges -1 in the colouring of the -1 masks minus."""
+    return (
+        isinstance(path, list)
+        and len(path) in (3, 5)
+        and (path[0], path[-1]) == (x, y)
+        and len(set(path)) == len(path)
+        and all(0 <= v < n for v in path)
+        and 2 * sum((minus[a] >> b) & 1 for a, b in zip(path, path[1:])) == len(path) - 1
+    )
+
+
+def test_connected_check_reads_signs_off_the_mask_not_the_rows(monkeypatch):
+    # the search shares the scan's rows; one that clears vertex 0's row and
+    # answers from what is left gives paths that are zero-sum in those
+    # rows only.  The check must confirm a colouring only where every path
+    # is zero-sum in the colouring itself, on the colouring whose rows the
+    # search cleared and on the later ones, whose kept rows stay wrong
+    answers = []
+
+    def clearing(minus, n):
+        minus[0] = 0
+        answers.append(list(_all_pairs(minus, n)))
+        return iter(answers[-1])
+
+    monkeypatch.setattr(finders, "_short_zero_sum_paths", clearing)
+    lo, hi = 12345, 12345 + 256
+    report = exhaustive_theorem_check("connected", 6, shard=(lo, hi))
+    met = oracle._census_met("connected", 6)
+    masks = [mask for mask in range(lo, hi) if met[mask.bit_count()]]
+    assert len(answers) == len(masks) == report.hypothesis_met
+    pairs = list(itertools.combinations(range(6), 2))
+    wrong = [
+        mask
+        for mask, paths in zip(masks, answers)
+        if not all(
+            _is_zero_sum_path(_minus_of(mask), 6, x, y, path) for (x, y), path in zip(pairs, paths)
+        )
+    ]
+    assert wrong[0] == masks[0] and len(wrong) > 1
+    assert [ce["mask"] for ce in report.counterexamples] == wrong
+    assert report.confirmed == len(masks) - len(wrong)
+
+
 FINDERS = {
     "tree": "find_zero_sum_spanning_tree",
     "diam3": "find_zero_sum_diam3_tree",
@@ -731,6 +776,46 @@ def test_minus_rows_are_the_graph_minus_masks(n, step):
     edges = complete_edges(n)
     for mask in range(0, 1 << len(edges), step):
         assert oracle._minus_rows(n, edges, mask) == complete_from_mask(n, mask).minus_masks()
+
+
+def _rows_checked(monkeypatch):
+    """Wrap every theorem's check so that it refuses, before checking the
+    colouring, rows unequal to _minus_rows of the mask it is handed."""
+    for theorem, build in list(oracle._CHECKS.items()):
+
+        def checked_build(n, budget, build=build):
+            check, edges = build(n, budget), complete_edges(n)
+
+            def checked(mask, rows):
+                if tuple(rows) != oracle._minus_rows(n, edges, mask):
+                    return {"reason": f"rows {rows} handed with mask {mask}"}
+                return check(mask, rows)
+
+            return checked
+
+        monkeypatch.setitem(oracle._CHECKS, theorem, checked_build)
+
+
+@pytest.mark.parametrize("theorem", oracle.THEOREMS)
+def test_checks_receive_the_rows_of_every_k6_colouring(monkeypatch, theorem):
+    _rows_checked(monkeypatch)
+    report = exhaustive_theorem_check(theorem, 6)
+    assert report.passed and report.hypothesis_met == report.confirmed > 0
+
+
+@pytest.mark.parametrize("theorem", oracle.THEOREMS)
+def test_checks_receive_the_rows_across_pool_chunks(monkeypatch, theorem):
+    # an odd first mask and a length past the 8192 a pool needs: the eight
+    # chunks of 1,251 colourings each start their own rows at an unaligned mask
+    _rows_checked(monkeypatch)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    lo = (3 << 19) + 12345
+    chunks = []
+    report = exhaustive_theorem_check(
+        theorem, 7, jobs=2, shard=(lo, lo + 10001), emit=chunks.append
+    )
+    assert len(chunks) == 8
+    assert report.passed and report.hypothesis_met == report.confirmed > 0
 
 
 @pytest.mark.parametrize(
