@@ -4,17 +4,17 @@ Enumerates whole families (spanning trees, Hamiltonian paths, diameter-3
 trees, perfect matchings) and iterates entire colouring spaces as sign
 bitmasks over the canonical edge order.  Each theorem has one check,
 built once per call, that one loop runs on every colouring meeting the
-hypothesis.  The loop keeps each colouring's per-vertex -1 rows beside
-its mask, changing at each step only the rows that the flipped edge bits
-touch, and hands both to the check.  Every check runs the finder's own
-search on the one form of the colouring it needs (the mask, those rows,
-which searches only read, or the edges of the mask bits), so no
-colouring is built into a graph.  The searches hand over edges or paths
-only, and each check has one shape: it tests the finder's member (a
-family check against the oracle's own table of members and the mask;
-the connected check each path's ends against its own list of vertex
-pairs and its signs against the mask), and only to word a refusal tests
-whether one exists.
+hypothesis, handing it the mask alone.  Every check runs the finder's
+own search on the one form of the colouring it needs: the mask, the
+edges of its bits, or, for the diam3 and connected checks only, its
+per-vertex -1 rows, which each of those checks keeps with one follower
+(_rows_follower) that works for any order of masks.  So no colouring
+is built into a graph.  The searches hand over edges or paths only, and
+each check has one shape: it tests the finder's member (a family check
+against the oracle's own table of members and the mask; the connected
+check each path's ends against its own list of vertex pairs and its
+signs against the mask), and only to word a refusal tests whether one
+exists.
 
 Enumerations refuse instead of sampling when a budget would be
 exceeded.  Colouring ranges shard cleanly: shards share nothing and
@@ -28,7 +28,7 @@ import time
 from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import zip_longest
 from multiprocessing import get_context
 from typing import Iterator, Optional, Union
@@ -104,30 +104,30 @@ class TheoremReport:
         return not self.counterexamples
 
 
-def _minus_rows(n: int, edges: tuple, mask: int) -> tuple[int, ...]:
-    """Per vertex of K_n, the mask of its -1 neighbours in a colouring,
-    edges in canonical order: the graph's minus_masks(), read off the mask."""
-    minus = [0] * n
-    for i in finders._bits(mask):
-        u, v = edges[i]
-        minus[u] |= 1 << v
-        minus[v] |= 1 << u
-    return tuple(minus)
+def _rows_follower(n: int):
+    """rows(mask): the per-vertex -1 rows of a colouring of K_n (the
+    graph's minus_masks(), read off the mask) in one list that starts at
+    mask 0 and is kept across calls: each call flips, in both rows, every
+    edge whose bit differs from the mask of the call before, so masks may
+    come in any order.  A search handed the list and writing into it
+    leaves the rows wrong for later masks too; the checks read every
+    sign they judge off the mask instead."""
+    flips = {1 << i: (u, 1 << u, v, 1 << v) for i, (u, v) in enumerate(complete_edges(n))}
+    rows = [0] * n
+    last = 0
 
+    def follow(mask):
+        nonlocal last
+        diff, last = mask ^ last, mask
+        while diff:
+            low = diff & -diff
+            u, bu, v, bv = flips[low]
+            rows[u] ^= bv
+            rows[v] ^= bu
+            diff ^= low
+        return rows
 
-@lru_cache(maxsize=8)
-def _row_steps(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """steps[t] lists the (vertex, xor) pairs that take the -1 rows of a
-    colouring of K_n from mask - 1 to mask, for a mask with t trailing
-    zeros: the change to the rows made by flipping edge bits 0..t; kept
-    for the last few orders asked for."""
-    flip = [0] * n
-    steps = []
-    for u, v in complete_edges(n):
-        flip[u] ^= 1 << v
-        flip[v] ^= 1 << u
-        steps.append(tuple((w, x) for w, x in enumerate(flip) if x))
-    return tuple(steps)
+    return follow
 
 
 def _edge_bits(n: int) -> list[list[int]]:
@@ -173,26 +173,26 @@ def _tree_candidates(n: int) -> tuple:
     def minus_seed(mask):
         return seed(n, (e for i, e in enumerate(edges) if mask >> i & 1), edges, k)
 
-    def walked(mask, rows):
+    def walked(mask):
         seeds, sign = [minus_seed(mask), minus_seed(full ^ mask)], finders._mask_sign(mask, n)
         found = settle(_tree_chain, n, seeds.__getitem__, finders._weights(seeds, sign), sign)
         return found[0] if found else None
 
     return (
-        ("seed through the -1 edges", lambda mask, rows: minus_seed(mask)),
-        ("seed through the +1 edges", lambda mask, rows: minus_seed(full ^ mask)),
+        ("seed through the -1 edges", minus_seed),
+        ("seed through the +1 edges", lambda mask: minus_seed(full ^ mask)),
         ("interpolated tree", walked),
     )
 
 
 def _diam3_candidates(n: int) -> tuple:
     """The candidate of the diam3 theorem: the tree the finder's search
-    (finders._diam3_tree) picks from the -1 rows that the scan keeps for
-    the colouring, or None."""
-    search = finders._diam3_tree
+    (finders._diam3_tree) picks from the colouring's -1 rows, which the
+    candidate's own _rows_follower keeps, or None."""
+    search, rows = finders._diam3_tree, _rows_follower(n)
 
-    def tree(mask, rows):
-        return (search(rows, n) or (None, None))[1]
+    def tree(mask):
+        return (search(rows(mask), n) or (None, None))[1]
 
     return (("diameter-3 tree", tree),)
 
@@ -202,7 +202,7 @@ def _path_candidates(n: int) -> tuple:
     (finders._spanning_path) picks from the colouring mask, or None."""
     search = finders._spanning_path
 
-    def path(mask, rows):
+    def path(mask):
         return (search(mask, n) or (None, None))[1]
 
     return (("spanning path", path),)
@@ -220,15 +220,15 @@ def _sorted(values):
 def _family_table(kind, candidates, n: int, budget: EnumerationBudget):
     """The check of a family theorem on K_n over the sorted masks of all
     members of kind, refused over budget from their closed-form count, and
-    candidates(n): (name, edges) pairs in the order tried, edges(mask, rows)
-    the edges a search hands over for a colouring, or None."""
+    candidates(n): (name, edges) pairs in the order tried, edges(mask) the
+    edges a search hands over for the colouring of that mask, or None."""
     budget.require(kind.budget_field, kind.complete_count(n), "members to enumerate")
     members = _member_masks(n, kind.members)
     bit = {e: 1 << i for i, e in enumerate(complete_edges(n))}
     size = len(members)
     candidates = candidates(n)
 
-    def check(mask, rows):
+    def check(mask):
         # every candidate is checked here against the oracle's own member
         # table, so the finder is trusted for nothing: no edges (t = 0) or
         # an edge not of K_n in canonical order (t = -1), whatever its type,
@@ -236,7 +236,7 @@ def _family_table(kind, candidates, n: int, budget: EnumerationBudget):
         # <= 1) confirms, and a heavy one passes on to the next candidate
         # or, the last, is refused
         for name, edges in candidates:
-            sub = edges(mask, rows)
+            sub = edges(mask)
             t = 0
             try:
                 for e in sub or ():
@@ -293,25 +293,26 @@ def _has_short_path(mask: int, masks2, masks4) -> bool:
 
 def _connected_table(n: int, budget: EnumerationBudget):
     """The check of the connectivity theorem on K_n.  Each colouring makes
-    one call of the finder's all-pairs search on the -1 rows that the scan
-    keeps, whose paths must run, in order, between the oracle's own vertex
-    pairs x < y and be zero-sum in the colouring, as read from the mask
-    through the edge-bit table: a pair skipped, repeated or swapped fails
-    at the path ends, an early end at the fill value ().  A pair's _short_path_masks,
-    refused over max_paths before any is built, only word a refusal."""
+    one call of the finder's all-pairs search on its -1 rows, which the
+    check's own _rows_follower keeps, whose paths must run, in order,
+    between the oracle's own vertex pairs x < y and be zero-sum in the
+    colouring, as read from the mask through the edge-bit table: a pair
+    skipped, repeated or swapped fails at the path ends, an early end at
+    the fill value ().  A pair's _short_path_masks, refused over
+    max_paths before any is built, only word a refusal."""
     _require_path_masks(n, binomial(n, 2), budget)
     bit = _edge_bits(n)
     pair_masks = [
         (x, y, *_short_path_masks(n, bit, x, y)) for x in range(n) for y in range(x + 1, n)
     ]
-    # the finder's search, run on the scan's -1 rows; its answers are then
-    # checked here against the mask alone, so the finder is trusted for
-    # nothing, not even to leave the rows it reads as they were
-    search = finders._short_zero_sum_paths
+    # the finder's search, run on the followed -1 rows; its answers are
+    # then checked here against the mask alone, so the finder is trusted
+    # for nothing, not even to leave the rows it reads as they were
+    search, rows = finders._short_zero_sum_paths, _rows_follower(n)
     vertices = set(range(n))
 
-    def check(mask, rows):
-        for pair, path in zip_longest(pair_masks, search(rows, n), fillvalue=()):
+    def check(mask):
+        for pair, path in zip_longest(pair_masks, search(rows(mask), n), fillvalue=()):
             if not pair:
                 return {"pair": None, "reason": f"finder failed: answer {path} past the last pair"}
             x, y, masks2, masks4 = pair
@@ -356,10 +357,10 @@ def _connected_table(n: int, budget: EnumerationBudget):
     return check
 
 
-# theorem -> build(n, budget), giving check(mask, rows) for a colouring of
-# K_n that meets the hypothesis, rows its -1 rows (see _check_range): None
-# when it is confirmed, otherwise the fields of its counterexample; finders
-# are looked up when it is built
+# theorem -> build(n, budget), giving check(mask) for a colouring of K_n
+# that meets the hypothesis, the masks in any order: None when it is
+# confirmed, otherwise the fields of its counterexample; finders are
+# looked up when it is built
 _CHECKS = {
     "tree": partial(_family_table, SpanningTrees, _tree_candidates),
     "connected": _connected_table,
@@ -371,28 +372,15 @@ THEOREMS = tuple(_CHECKS)
 
 
 def _check_range(theorem: str, n: int, lo: int, hi: int, table: tuple) -> TheoremReport:
-    """The report of colourings lo..hi-1, table the met list and the check.
-
-    The scan keeps the -1 rows of each colouring (_minus_rows) beside its
-    mask.  It builds them at the range's first mask, so an empty range
-    builds none; from one mask to the next, mask ^ (mask - 1) holds edge
-    bits 0..t for the t trailing zeros of the mask, so at every later
-    mask, met or not, the pairs of _row_steps(n)[t] bring them up to
-    date.  Each check reads (mask, rows); the searches only read the rows."""
+    """The report of colourings lo..hi-1, table the met list and the
+    check, which reads each met mask alone."""
     met, check = table
     report = TheoremReport(theorem, n, lo, hi)
-    steps = _row_steps(n)
-    rows = None
     for mask in range(lo, hi):
-        if rows is None:
-            rows = list(_minus_rows(n, complete_edges(n), mask))
-        else:
-            for v, x in steps[(mask & -mask).bit_length() - 1]:
-                rows[v] ^= x
         if not met[mask.bit_count()]:
             continue
         report.hypothesis_met += 1
-        fields = check(mask, rows)
+        fields = check(mask)
         if fields is None:
             report.confirmed += 1
         else:

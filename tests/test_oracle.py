@@ -773,32 +773,56 @@ def test_path_scan_builds_no_graph(monkeypatch, theorem):
 
 @pytest.mark.parametrize("n, step", [(5, 1), (7, 997)])
 def test_minus_rows_are_the_graph_minus_masks(n, step):
-    edges = complete_edges(n)
-    for mask in range(0, 1 << len(edges), step):
-        assert oracle._minus_rows(n, edges, mask) == complete_from_mask(n, mask).minus_masks()
+    # one follower gives the graph's -1 rows for masks in ascending order,
+    # across gaps, and then for the same masks shuffled
+    masks = list(range(0, 1 << binomial(n, 2), step))
+    rows = oracle._rows_follower(n)
+    for mask in masks + random.Random(n).sample(masks, len(masks)):
+        assert tuple(rows(mask)) == _minus_of(mask, n)
 
 
-def _rows_checked(monkeypatch):
-    """Wrap every theorem's check so that it refuses, before checking the
-    colouring, rows unequal to _minus_rows of the mask it is handed."""
-    for theorem, build in list(oracle._CHECKS.items()):
+# the finder searches that read a colouring's -1 rows, by theorem
+_ROW_SEARCHES = {"diam3": "_diam3_tree", "connected": "_short_zero_sum_paths"}
 
-        def checked_build(n, budget, build=build):
-            check, edges = build(n, budget), complete_edges(n)
 
-            def checked(mask, rows):
-                if tuple(rows) != oracle._minus_rows(n, edges, mask):
-                    return {"reason": f"rows {rows} handed with mask {mask}"}
-                return check(mask, rows)
+def _rows_checked(monkeypatch, theorem):
+    """Make the theorem's check refuse a colouring whose -1 rows are wrong.
+    For diam3 and connected the check records each mask it is called on,
+    and the search answers nothing (a counterexample) unless it is handed
+    exactly the -1 rows of that mask; every other check must not even
+    build a row follower."""
+    if theorem not in _ROW_SEARCHES:
 
-            return checked
+        def refuse(n):
+            raise AssertionError(f"the {theorem} check follows -1 rows")
 
-        monkeypatch.setitem(oracle._CHECKS, theorem, checked_build)
+        monkeypatch.setattr(oracle, "_rows_follower", refuse)
+        return
+    build, name = oracle._CHECKS[theorem], _ROW_SEARCHES[theorem]
+    search = getattr(finders, name)
+    called = []
+
+    def recording_build(n, budget):
+        check = build(n, budget)
+
+        def recording(mask):
+            called[:] = [mask]
+            return check(mask)
+
+        return recording
+
+    def checked_search(minus, n):
+        if tuple(minus) != _minus_of(called[0], n):
+            return None if theorem == "diam3" else iter(())
+        return search(minus, n)
+
+    monkeypatch.setitem(oracle._CHECKS, theorem, recording_build)
+    monkeypatch.setattr(finders, name, checked_search)
 
 
 @pytest.mark.parametrize("theorem", oracle.THEOREMS)
 def test_checks_receive_the_rows_of_every_k6_colouring(monkeypatch, theorem):
-    _rows_checked(monkeypatch)
+    _rows_checked(monkeypatch, theorem)
     report = exhaustive_theorem_check(theorem, 6)
     assert report.passed and report.hypothesis_met == report.confirmed > 0
 
@@ -806,8 +830,9 @@ def test_checks_receive_the_rows_of_every_k6_colouring(monkeypatch, theorem):
 @pytest.mark.parametrize("theorem", oracle.THEOREMS)
 def test_checks_receive_the_rows_across_pool_chunks(monkeypatch, theorem):
     # an odd first mask and a length past the 8192 a pool needs: the eight
-    # chunks of 1,251 colourings each start their own rows at an unaligned mask
-    _rows_checked(monkeypatch)
+    # chunks of 1,251 colourings each start at an unaligned mask, in a
+    # worker whose follower last saw another chunk's mask, or none
+    _rows_checked(monkeypatch, theorem)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
     lo = (3 << 19) + 12345
     chunks = []
@@ -816,6 +841,56 @@ def test_checks_receive_the_rows_across_pool_chunks(monkeypatch, theorem):
     )
     assert len(chunks) == 8
     assert report.passed and report.hypothesis_met == report.confirmed > 0
+
+
+@pytest.mark.parametrize("theorem", oracle.THEOREMS)
+def test_checks_receive_the_rows_in_any_order_of_masks(monkeypatch, theorem):
+    # a check takes the mask alone, so the met colourings of K_6 may come
+    # in any order, as an orbit route would hand them over
+    _rows_checked(monkeypatch, theorem)
+    met = oracle._census_met(theorem, 6)
+    masks = [mask for mask in range(1 << 15) if met[mask.bit_count()]]
+    random.Random(theorem).shuffle(masks)
+    check = oracle._CHECKS[theorem](6, oracle.DEFAULT_BUDGET)
+    assert masks and all(check(mask) is None for mask in masks)
+
+
+def test_diam3_check_reads_weights_off_the_mask_not_the_rows(monkeypatch):
+    # the search shares the follower's rows, which last across colourings;
+    # one that clears vertex 0's row and answers from what is left hands
+    # over trees picked from those rows only.  The check must confirm a
+    # colouring only where the handed tree is a diameter-3 tree light in
+    # the colouring itself, on the colouring whose rows the search cleared
+    # and on the later ones, whose followed rows stay wrong
+    search = finders._diam3_tree
+    handed, trees = [], []
+
+    def clearing(minus, n):
+        handed.append(tuple(minus))
+        minus[0] = 0
+        found = search(minus, n)
+        trees.append(found and found[1])
+        return found
+
+    monkeypatch.setattr(finders, "_diam3_tree", clearing)
+    lo, hi = 12345, 12345 + 256
+    report = exhaustive_theorem_check("diam3", 6, shard=(lo, hi))
+    met = oracle._census_met("diam3", 6)
+    masks = [mask for mask in range(lo, hi) if met[mask.bit_count()]]
+    assert len(trees) == len(masks) == report.hypothesis_met
+    stale = [mask for mask, rows in zip(masks, handed) if rows != _minus_of(mask)]
+    assert masks[0] not in stale and len(stale) > len(masks) // 2
+    members = {frozenset(s) for s in Diam3Trees(ColoredGraph.complete(6)).edge_sets()}
+    bit = {e: 1 << i for i, e in enumerate(complete_edges(6))}
+
+    def light(mask, tree):
+        minus = sum(bool(mask & bit[e]) for e in tree)
+        return frozenset(tree) in members and abs(len(tree) - 2 * minus) <= 1
+
+    wrong = [mask for mask, tree in zip(masks, trees) if not (tree and light(mask, tree))]
+    assert wrong and set(wrong) < set(masks) and set(stale) & set(wrong)
+    assert [ce["mask"] for ce in report.counterexamples] == wrong
+    assert report.confirmed == len(masks) - len(wrong)
 
 
 @pytest.mark.parametrize(
