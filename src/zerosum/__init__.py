@@ -33,12 +33,10 @@ from .families import (
     HamiltonianPaths,
     PerfectMatchings,
     SpanningTrees,
-    diam3_exchange_chain,
-    hampath_exchange_chain,
+    exchange_chain,
     interpolate,
     interpolate_traced,
     member_of,
-    tree_exchange_chain,
 )
 from .thresholds import (
     MasterVerdict,

@@ -11,7 +11,6 @@ large for the applicable budget are refused with BudgetExceeded.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -148,7 +147,7 @@ def _stacked_planar_host(n: int) -> tuple[set, StackedCertificate]:
     so each vertex prefix induces the stacked triangulation of its size."""
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
-    faces = Counter({(0, 1, 2): 2})
+    faces = {(0, 1, 2): 2}
     edges = {(0, 1), (0, 2), (1, 2)}
     inserts = []
     for v in range(3, n):
@@ -157,7 +156,8 @@ def _stacked_planar_host(n: int) -> tuple[set, StackedCertificate]:
         a, b, c = face
         edges |= {canonical_edge(v, a), canonical_edge(v, b), canonical_edge(v, c)}
         for tri in ((v, a, b), (v, b, c), (v, a, c)):
-            faces[tuple(sorted(tri))] += 1
+            key = tuple(sorted(tri))
+            faces[key] = faces.get(key, 0) + 1
         inserts.append((v, face))
     return edges, StackedCertificate((0, 1, 2), tuple(inserts))
 
@@ -188,8 +188,8 @@ def _balanced_split(n: int):
 # --- verification helpers --------------------------------------------------------
 
 
-def _no_light_member(g, kind, budget) -> bool:
-    return all(abs(weight(member)) > 1 for member in enumerate_family(g, kind, budget))
+def _no_light_member(kind, budget) -> bool:
+    return all(abs(weight(member)) > 1 for member in enumerate_family(kind, budget))
 
 
 def _tree_weight_floor_certified(g: ColoredGraph, k: int, budget) -> bool:
@@ -204,7 +204,7 @@ def _tree_weight_floor_certified(g: ColoredGraph, k: int, budget) -> bool:
     if floor <= 1:
         return False
     if spanning_tree_count(g) <= budget.max_spanning_trees:
-        if not _no_light_member(g, SpanningTrees(g), budget):
+        if not _no_light_member(SpanningTrees(g), budget):
             return False
     return True
 
@@ -259,13 +259,11 @@ class StarExtremalCirculant:
         return _all_minus(self.n, _circulant_star_free_edges(self.n, self.k))
 
     def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
-        deg = Counter()
+        deg = [0] * g.n
         for u, v in g.edges:
             deg[u] += 1
             deg[v] += 1
-        return len(g.edges) == ex_star(self.n, self.k) and (
-            not deg or max(deg.values()) <= self.k - 1
-        )
+        return len(g.edges) == ex_star(self.n, self.k) and max(deg, default=0) <= self.k - 1
 
 
 @dataclass(frozen=True)
@@ -286,7 +284,7 @@ class PathSharpness:
         return g
 
     def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
-        return _no_light_member(g, HamiltonianPaths(g), budget)
+        return _no_light_member(HamiltonianPaths(g), budget)
 
 
 @dataclass(frozen=True)
@@ -304,7 +302,7 @@ class TreeSharpness:
         return g
 
     def verify(self, g: ColoredGraph, budget: EnumerationBudget) -> bool:
-        return _no_light_member(g, SpanningTrees(g), budget)
+        return _no_light_member(SpanningTrees(g), budget)
 
 
 @dataclass(frozen=True)
@@ -513,9 +511,8 @@ class MatchingK4n:
         cs = census(g)
         if (cs.e_plus, cs.e_minus) != self._census():
             return False
-        return all(
-            weight(matching) != 0 for matching in enumerate_family(g, PerfectMatchings(g), budget)
-        )
+        matchings = enumerate_family(PerfectMatchings(g), budget)
+        return all(weight(matching) != 0 for matching in matchings)
 
 
 CONSTRUCTIONS = {

@@ -8,12 +8,13 @@ inside the family; walking such a chain moves the signed weight in steps
 of 0 or +-2, which is what makes weight interpolation work.  A chain is a
 generator chain(n, from_edges, to_edges) of (out, in) edge swaps: one walk
 (_walk) follows any of them on a colouring read through sign(e), and
-ExchangeChain and interpolate_traced build their members from the same
-swaps (_replay).
+exchange_chain(kind, h_from, h_to), the one chain builder of every
+family, builds its members from the same swaps (_replay).
 
 Each family is an object bound to its host that carries its membership
-test, its chain, the EnumerationBudget field that caps its
-enumeration and the name of its census guarantee on K_n in
+test, its chain, max_replacements(n), the bound on every chain's
+length that exchange_chain asserts, the EnumerationBudget field that
+caps its enumeration and the name of its census guarantee on K_n in
 thresholds.GUARANTEES.  Its facts about K_n live on the class, in one
 place: members(n, table), the generator of its members of K_n over a
 symmetric edge table, and complete_count(n), their closed-form number.
@@ -76,15 +77,11 @@ class ExchangeChain:
                 raise DomainError(f"steps {i}->{i + 1} change weight by {dw}")
 
 
-def _require_member(kind: FamilyKind, h: EdgeSubgraph, role: str) -> None:
-    if not member_of(kind, h):
-        raise DomainError(f"{role} is not a member of {type(kind).__name__}")
-
-
 # --- spanning trees: matroid basis exchange ----------------------------------
 
 
 def _tree_chain(n: int, from_edges, to_edges) -> Iterator[tuple]:
+    """Basis exchange: exactly |from_edges \\ to_edges| swaps."""
     cur = set(from_edges)
     target = frozenset(to_edges)
     while cur != target:
@@ -99,20 +96,6 @@ def _tree_chain(n: int, from_edges, to_edges) -> Iterator[tuple]:
         swap_in = min(f for f in target - cur if uf.find(f[0]) != uf.find(f[1]))
         cur.add(swap_in)
         yield e, swap_in
-
-
-def tree_exchange_chain(
-    t_from: EdgeSubgraph, t_to: EdgeSubgraph, kind: SpanningTrees | None = None
-) -> ExchangeChain:
-    """Basis-exchange chain between two spanning trees of one host.
-
-    Uses exactly |E(t_from) \\ E(t_to)| replacements.
-    """
-    if kind is None:
-        kind = SpanningTrees(t_from.host)
-    _require_member(kind, t_from, "t_from")
-    _require_member(kind, t_to, "t_to")
-    return ExchangeChain(tuple(_replay(kind, t_from, t_to)))
 
 
 # --- Hamiltonian paths: prefix-growing two-swap procedure ---------------------
@@ -137,6 +120,8 @@ def path_sequence(n: int, edges) -> list[int]:
 
 
 def _hampath_chain(n: int, from_edges, to_edges) -> Iterator[tuple]:
+    """Grows the prefix that matches the target order, spending at most
+    two swaps per placed vertex: at most 2(n-1) in total."""
     target = path_sequence(n, to_edges)
     cur = path_sequence(n, from_edges)
     for k in range(n - 1):
@@ -156,18 +141,6 @@ def _hampath_chain(n: int, from_edges, to_edges) -> Iterator[tuple]:
         # swap (b): flip the tail so v lands right after the matched prefix
         yield canonical_edge(cur[k - 1], cur[k]), canonical_edge(cur[k - 1], cur[n - 1])
         cur = cur[:k] + cur[k:][::-1]
-
-
-def hampath_exchange_chain(p_from: EdgeSubgraph, p_to: EdgeSubgraph) -> ExchangeChain:
-    """Chain between Hamiltonian paths of a complete host.
-
-    Grows the prefix that matches the target order, spending at most two
-    replacements per placed vertex: at most 2(n-1) in total.
-    """
-    kind = HamiltonianPaths(p_from.host)
-    _require_member(kind, p_from, "p_from")
-    _require_member(kind, p_to, "p_to")
-    return ExchangeChain(tuple(_replay(kind, p_from, p_to)))
 
 
 # --- diameter-3 trees: leaf migration between stars and double stars ---------
@@ -196,6 +169,9 @@ def _classify_diam3(n: int, edges):
 
 
 def _diam3_chain(n: int, from_edges, to_edges) -> Iterator[tuple]:
+    """Collapses the start tree onto a star, moves the star's centre and
+    splits it into the target: every tree on the way has diameter <= 3,
+    and there are at most 2(n-2) swaps."""
     if set(from_edges) == set(to_edges):
         return
     cls_from = _classify_diam3(n, from_edges)
@@ -242,20 +218,6 @@ def _diam3_chain(n: int, from_edges, to_edges) -> Iterator[tuple]:
     if cls_to[0] == "double":
         for z in final_leaves:
             yield canonical_edge(z, c2), canonical_edge(z, final_other)
-
-
-def diam3_exchange_chain(t_from: EdgeSubgraph, t_to: EdgeSubgraph) -> ExchangeChain:
-    """Chain between spanning trees of diameter <= 3 of a complete host.
-
-    Every intermediate tree has diameter <= 3 and the number of
-    replacements never exceeds 2(n-2).
-    """
-    kind = Diam3Trees(t_from.host)
-    _require_member(kind, t_from, "t_from")
-    _require_member(kind, t_to, "t_to")
-    chain = ExchangeChain(tuple(_replay(kind, t_from, t_to)))
-    assert chain.replacements <= max(0, 2 * (t_from.host.n - 2))
-    return chain
 
 
 # --- enumeration budget -------------------------------------------------------
@@ -508,6 +470,7 @@ class SpanningTrees(_Family):
     members = staticmethod(_prufer_trees)
     complete_count = staticmethod(complete_tree_count)
     chain = staticmethod(_tree_chain)
+    max_replacements = staticmethod(lambda n: max(0, n - 1))
 
     def __post_init__(self):
         if not self.host.is_connected():
@@ -532,6 +495,7 @@ class HamiltonianPaths(_Family):
     members = staticmethod(_hampaths)
     complete_count = staticmethod(hamiltonian_path_count)
     chain = staticmethod(_hampath_chain)
+    max_replacements = staticmethod(lambda n: 2 * (n - 1))
 
     def __post_init__(self):
         if not self.host.is_complete:
@@ -548,6 +512,7 @@ class Diam3Trees(_Family):
     members = staticmethod(_diam3_trees)
     complete_count = staticmethod(diam3_tree_count)
     chain = staticmethod(_diam3_chain)
+    max_replacements = staticmethod(lambda n: max(0, 2 * (n - 2)))
 
     def __post_init__(self):
         if not self.host.is_complete:
@@ -584,7 +549,7 @@ def member_of(kind: FamilyKind, h: EdgeSubgraph) -> bool:
     return (h.host is kind.host or h.host == kind.host) and kind.is_member(h)
 
 
-# --- interpolation ------------------------------------------------------------
+# --- chains and interpolation --------------------------------------------------
 
 
 def _walk(chain, n: int, lo, hi, sign) -> tuple[frozenset, int]:
@@ -619,22 +584,34 @@ def _replay(kind: FamilyKind, h_from: EdgeSubgraph, h_to: EdgeSubgraph) -> Itera
         yield EdgeSubgraph._unchecked(h_from.host, frozenset(cur))
 
 
+def _require_members(kind: FamilyKind, **ends: EdgeSubgraph) -> None:
+    """Refuse (DomainError) a kind with no chain, or an end outside it."""
+    if getattr(kind, "chain", None) is None:
+        raise DomainError(f"{type(kind).__name__} has no exchange chain")
+    for role, h in ends.items():
+        if not member_of(kind, h):
+            raise DomainError(f"{role} is not a member of {type(kind).__name__}")
+
+
+def exchange_chain(kind: FamilyKind, h_from: EdgeSubgraph, h_to: EdgeSubgraph) -> ExchangeChain:
+    """The chain of kind from h_from to h_to, as the members it walks
+    through: at most kind.max_replacements(n) single edge replacements."""
+    _require_members(kind, h_from=h_from, h_to=h_to)
+    chain = ExchangeChain(tuple(_replay(kind, h_from, h_to)))
+    assert chain.replacements <= kind.max_replacements(kind.host.n)
+    return chain
+
+
 def interpolate_traced(
-    kind: FamilyKind,
-    h_lo: EdgeSubgraph,
-    h_hi: EdgeSubgraph,
-    collect: list | None = None,
+    kind: FamilyKind, h_lo: EdgeSubgraph, h_hi: EdgeSubgraph
 ) -> tuple[EdgeSubgraph, int]:
     """Walk the chain from h_lo to h_hi and stop at the first member of
-    absolute weight at most 1.  Returns (member, replacements walked);
-    collect, when given, receives every member walked through, the
-    returned one last.
+    absolute weight at most 1.  Returns (member, replacements walked).
 
     Accepts the endpoints in either order; requires one non-positive and
     one non-negative weight.
     """
-    _require_member(kind, h_lo, "h_lo")
-    _require_member(kind, h_hi, "h_hi")
+    _require_members(kind, h_lo=h_lo, h_hi=h_hi)
     w_lo, w_hi = weight(h_lo), weight(h_hi)
     if w_lo > w_hi:
         h_lo, h_hi = h_hi, h_lo
@@ -645,8 +622,6 @@ def interpolate_traced(
         raise DomainError(f"no endpoint with weight >= 0: weights are {w_lo}, {w_hi}")
     host = kind.host
     edges, replacements = _walk(kind.chain, host.n, h_lo.edges, h_hi.edges, host.sign.__getitem__)
-    if collect is not None:
-        collect.extend(itertools.islice(_replay(kind, h_lo, h_hi), replacements + 1))
     return EdgeSubgraph._unchecked(h_lo.host, edges), replacements
 
 

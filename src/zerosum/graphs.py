@@ -15,7 +15,6 @@ so keeping them never changes its value.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
@@ -335,10 +334,9 @@ def is_matching(h: EdgeSubgraph) -> bool:
 
 def _bfs_farthest(adj, start):
     dist = {start: 0}
-    queue = deque([start])
+    queue = [start]
     far, far_d = start, 0
-    while queue:
-        x = queue.popleft()
+    for x in queue:
         for y in adj[x]:
             if y not in dist:
                 dist[y] = dist[x] + 1
@@ -441,17 +439,17 @@ class MaximalPlanarStacked:
         placed = {a, b, c}
         edges = {canonical_edge(a, b), canonical_edge(a, c), canonical_edge(b, c)}
         # the starting triangle bounds two plane faces
-        faces = Counter({frozenset((a, b, c)): 2})
+        faces = {frozenset((a, b, c)): 2}
         for v, (fa, fb, fc) in cert.insertions:
             face = frozenset((fa, fb, fc))
-            if v in placed or not (0 <= v < n) or faces[face] <= 0:
+            if v in placed or not (0 <= v < n) or faces.get(face, 0) <= 0:
                 return False
             faces[face] -= 1
             for x in (fa, fb, fc):
                 edges.add(canonical_edge(v, x))
-            faces[frozenset((v, fa, fb))] += 1
-            faces[frozenset((v, fb, fc))] += 1
-            faces[frozenset((v, fa, fc))] += 1
+            for tri in ((v, fa, fb), (v, fb, fc), (v, fa, fc)):
+                key = frozenset(tri)
+                faces[key] = faces.get(key, 0) + 1
             placed.add(v)
         return placed == set(range(n)) and edges == set(g.edges)
 

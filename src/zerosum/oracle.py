@@ -46,7 +46,7 @@ from .families import (
     _tree_chain,
     stated,
 )
-from .graphs import ColoredGraph, EdgeSubgraph, binomial, complete_edges
+from .graphs import EdgeSubgraph, binomial, complete_edges
 from .thresholds import GUARANTEES, decomposition_bound
 
 
@@ -59,22 +59,18 @@ def _require_path_masks(n: int, pairs: int, budget: EnumerationBudget) -> None:
 
 
 def enumerate_family(
-    g: ColoredGraph,
-    kind: Union[FamilyKind, PerfectMatchings],
-    budget: EnumerationBudget | None = None,
+    kind: Union[FamilyKind, PerfectMatchings], budget: EnumerationBudget | None = None
 ) -> Iterator[EdgeSubgraph]:
-    """Stream every member of the family exactly once, validated.
+    """Stream every member of the family on its host exactly once, validated.
 
     Refuses upfront (BudgetExceeded, stating the required budget) when
     the closed-form member count exceeds the kind's budget field.
     """
-    if not (kind.host is g or kind.host == g):
-        raise DomainError("enumeration kind is bound to a different host")
     (budget or DEFAULT_BUDGET).require(kind.budget_field, kind.count(), "members to enumerate")
 
     def generate():
         for edge_set in kind.edge_sets():
-            member = EdgeSubgraph._unchecked(g, edge_set)
+            member = EdgeSubgraph._unchecked(kind.host, edge_set)
             if not kind.is_member(member):
                 raise AssertionError(f"enumerated member failed validation: {sorted(edge_set)}")
             yield member

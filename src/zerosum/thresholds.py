@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .errors import DomainError
-from .graphs import ColoredGraph, EdgeSubgraph, binomial, census
+from .graphs import EdgeSubgraph, binomial, census
 
 
 def linear_forest_witness_sizes(n: int, k: int) -> dict[str, int]:
@@ -214,10 +214,9 @@ class MasterVerdict:
     m: int
 
 
-def master_verdict(g: ColoredGraph, kind) -> MasterVerdict:
-    """Evaluate all available sufficient conditions for g and the family."""
-    if not (kind.host is g or kind.host == g):
-        raise DomainError("family kind is bound to a different host")
+def master_verdict(kind) -> MasterVerdict:
+    """Evaluate all available sufficient conditions for the family on its host."""
+    g = kind.host
     n = g.n
     m = n - 1
     cs = census(g)

@@ -35,6 +35,7 @@ from zerosum.families import (
     HamiltonianPaths,
     SpanningTrees,
     _prufer_edges,
+    exchange_chain,
     interpolate_traced,
 )
 from zerosum.graphs import (
@@ -144,16 +145,16 @@ def test_criterion_2_interpolation_invariant():
     with criterion("2 interpolation invariant"):
         rng = random.Random(20260810)
         samplers = (
-            (SpanningTrees, _random_tree, None),
-            (HamiltonianPaths, _random_hampath, lambda n: 2 * (n - 1)),
-            (Diam3Trees, _random_diam3, lambda n: 2 * (n - 2)),
+            (SpanningTrees, _random_tree),
+            (HamiltonianPaths, _random_hampath),
+            (Diam3Trees, _random_diam3),
         )
         for n in range(5, 10):
             m = binomial(n, 2)
             interpolated = 0
             for _ in range(10_000):
                 g = complete_from_mask(n, rng.getrandbits(m))
-                for kind_cls, sampler, rep_bound in samplers:
+                for kind_cls, sampler in samplers:
                     kind = kind_cls(g)
                     lo = hi = None
                     for _ in range(24):
@@ -167,13 +168,14 @@ def test_criterion_2_interpolation_invariant():
                             break
                     if lo is None or hi is None:
                         continue  # lopsided colouring: no qualifying pair sampled
-                    steps = []
-                    z, reps = interpolate_traced(kind, lo, hi, collect=steps)
+                    z, reps = interpolate_traced(kind, lo, hi)
                     w = weight(z)
                     assert abs(w) <= 1 and w % 2 == (n - 1) % 2
-                    ExchangeChain(tuple(steps)).validate(kind)
-                    if rep_bound is not None:
-                        assert reps <= rep_bound(n)
+                    # lo is the lighter end; exchange_chain asserts the
+                    # family's bound on the whole chain
+                    steps = exchange_chain(kind, lo, hi).steps[: reps + 1]
+                    ExchangeChain(steps).validate(kind)
+                    assert steps[-1] == z
                     interpolated += 1
             assert interpolated > 20_000, f"n={n}: too few qualifying pairs"
 
@@ -262,7 +264,7 @@ def test_criterion_4_sharpness_suite():
         cs = census(g)
         assert (cs.e_plus, cs.e_minus) == (63, 57)
         total = 0
-        for matching in enumerate_family(g, PerfectMatchings(g)):
+        for matching in enumerate_family(PerfectMatchings(g)):
             assert weight(matching) != 0
             total += 1
         assert total == 2_027_025
@@ -309,14 +311,14 @@ def test_criterion_6_oracle_self_checks():
 
         for n in range(2, 9):
             g = ColoredGraph.complete(n)
-            assert sum(1 for _ in enumerate_family(g, SpanningTrees(g))) == n ** (n - 2)
+            assert sum(1 for _ in enumerate_family(SpanningTrees(g))) == n ** (n - 2)
         for n in range(2, 9):
             g = ColoredGraph.complete(n)
-            count = sum(1 for _ in enumerate_family(g, HamiltonianPaths(g)))
+            count = sum(1 for _ in enumerate_family(HamiltonianPaths(g)))
             assert count == math.factorial(n) // 2
         for n in range(2, 17, 2):
             g = ColoredGraph.complete(n)
-            count = sum(1 for _ in enumerate_family(g, PerfectMatchings(g)))
+            count = sum(1 for _ in enumerate_family(PerfectMatchings(g)))
             assert count == math.prod(range(1, n, 2))
 
 

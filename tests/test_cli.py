@@ -260,8 +260,9 @@ def test_verify_shard_outside_a_huge_space_is_exit_2(capsys):
 @pytest.mark.parametrize("theorem", ["diam3", "connected"])
 @pytest.mark.parametrize("lo, hi", [(0, 0), (64, 64), (63, 64)])
 def test_verify_shards_at_the_ends_of_the_space(capsys, theorem, lo, hi):
-    # K_4 has 2^6 colourings; the scan builds a colouring's -1 rows only
-    # once its shard has a mask, so [64, 64) reads no bit 6, which is no edge
+    # K_4 has 2^6 colourings; no scan builds -1 rows, and the diam3 and
+    # connected checks follow them only for met masks, so [64, 64) reads no
+    # bit 6, which is no edge
     shard = ["--shard", str(lo), str(hi)]
     code, out, err = run_cli(capsys, ["verify", theorem, "4", *shard])
     assert (code, err) == (0, "")

@@ -11,13 +11,11 @@ from zerosum.families import (
     HamiltonianPaths,
     PerfectMatchings,
     SpanningTrees,
-    diam3_exchange_chain,
-    hampath_exchange_chain,
+    exchange_chain,
     interpolate,
     interpolate_traced,
     member_of,
     path_sequence,
-    tree_exchange_chain,
 )
 from zerosum.graphs import ColoredGraph, EdgeSubgraph, weight
 
@@ -59,19 +57,44 @@ def random_diam3(g, rng):
     )
 
 
+# --- chains ---
+
+
+@pytest.mark.parametrize(
+    "kind_cls, sampler",
+    [(SpanningTrees, random_tree), (HamiltonianPaths, random_hampath), (Diam3Trees, random_diam3)],
+    ids=["tree", "path", "diam3"],
+)
+def test_chain_identity_and_random_pairs(kind_cls, sampler):
+    rng = random.Random(4)
+    for n in (2, 3, 5, 8):
+        g = ColoredGraph.complete(n)
+        kind = kind_cls(g)
+        h = sampler(g, rng)
+        assert exchange_chain(kind, h, h).steps == (h,)
+        for _ in range(60):
+            a, b = sampler(g, rng), sampler(g, rng)
+            chain = exchange_chain(kind, a, b)
+            chain.validate(kind)
+            assert chain.steps[0] == a and chain.steps[-1].edges == b.edges
+            assert chain.replacements <= kind.max_replacements(n)
+
+
+def test_chain_refuses_a_kind_without_one():
+    g = ColoredGraph.complete(4)
+    a = EdgeSubgraph(g, [(0, 1), (2, 3)])
+    b = EdgeSubgraph(g, [(0, 2), (1, 3)])
+    for call in (exchange_chain, interpolate_traced):
+        with pytest.raises(DomainError, match="PerfectMatchings has no exchange chain"):
+            call(PerfectMatchings(g), a, b)
+
+
 # --- spanning-tree chains ---
-
-
-def test_tree_chain_identity():
-    g = ColoredGraph.complete(5)
-    t = star(g, 0)
-    chain = tree_exchange_chain(t, t)
-    assert chain.replacements == 0 and chain.steps == (t,)
 
 
 def test_tree_chain_star_to_star_k4():
     g = ColoredGraph.complete(4)
-    chain = tree_exchange_chain(star(g, 0), star(g, 1), SpanningTrees(g))
+    chain = exchange_chain(SpanningTrees(g), star(g, 0), star(g, 1))
     chain.validate(SpanningTrees(g))
     assert chain.replacements <= 3
     assert chain.steps[-1].edges == star(g, 1).edges
@@ -82,9 +105,9 @@ def test_tree_chain_disjoint_trees_k6():
     t1 = path_of(g, [0, 1, 2, 3, 4, 5])
     t2 = path_of(g, [1, 3, 5, 0, 2, 4])
     assert not (t1.edges & t2.edges)
-    chain = tree_exchange_chain(t1, t2)
+    chain = exchange_chain(SpanningTrees(g), t1, t2)
     chain.validate(SpanningTrees(g))
-    assert chain.replacements == 5  # forced: |T \ T'| = 5
+    assert chain.replacements == 5  # forced: |T \\ T'| = 5
     for a, b in zip(chain.steps, chain.steps[1:]):
         assert len(a.edges - b.edges) == 1 and len(b.edges - a.edges) == 1
 
@@ -94,7 +117,7 @@ def test_tree_chain_replacement_count_is_symmetric_difference():
     g = ColoredGraph.complete(7)
     for _ in range(40):
         a, b = random_tree(g, rng), random_tree(g, rng)
-        chain = tree_exchange_chain(a, b)
+        chain = exchange_chain(SpanningTrees(g), a, b)
         chain.validate(SpanningTrees(g))
         assert chain.replacements == len(a.edges - b.edges)
 
@@ -103,7 +126,7 @@ def test_tree_chain_rejects_non_trees():
     g = ColoredGraph.complete(4)
     not_tree = EdgeSubgraph(g, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(DomainError):
-        tree_exchange_chain(not_tree, star(g, 0))
+        exchange_chain(SpanningTrees(g), not_tree, star(g, 0))
 
 
 # --- Hamiltonian-path chains ---
@@ -111,39 +134,27 @@ def test_tree_chain_rejects_non_trees():
 
 def test_hampath_chain_identity_and_reversal():
     g = ColoredGraph.complete(4)
+    kind = HamiltonianPaths(g)
     p = path_of(g, [0, 1, 2, 3])
-    assert hampath_exchange_chain(p, p).replacements == 0
+    assert exchange_chain(kind, p, p).replacements == 0
     rev = path_of(g, [3, 2, 1, 0])
-    chain = hampath_exchange_chain(p, rev)
+    chain = exchange_chain(kind, p, rev)
     assert chain.replacements == 0  # same edge set
 
 
 def test_hampath_chain_k4_example():
     g = ColoredGraph.complete(4)
-    chain = hampath_exchange_chain(path_of(g, [0, 1, 2, 3]), path_of(g, [0, 2, 1, 3]))
-    chain.validate(HamiltonianPaths(g))
+    kind = HamiltonianPaths(g)
+    chain = exchange_chain(kind, path_of(g, [0, 1, 2, 3]), path_of(g, [0, 2, 1, 3]))
+    chain.validate(kind)
     assert len(chain.steps) <= 5
     assert chain.steps[-1].edges == path_of(g, [0, 2, 1, 3]).edges
 
 
-def test_hampath_chain_random_pairs():
-    rng = random.Random(4)
-    for n in (2, 3, 5, 8):
-        g = ColoredGraph.complete(n)
-        kind = HamiltonianPaths(g)
-        for _ in range(30):
-            a, b = random_hampath(g, rng), random_hampath(g, rng)
-            chain = hampath_exchange_chain(a, b)
-            chain.validate(kind)
-            assert chain.replacements <= 2 * (n - 1)
-            assert chain.steps[-1].edges == b.edges
-
-
 def test_hampath_chain_requires_complete_host():
     g = ColoredGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    p = EdgeSubgraph(g, g.edges)
     with pytest.raises(DomainError):
-        hampath_exchange_chain(p, p)
+        HamiltonianPaths(g)
 
 
 def test_path_sequence_reconstruction():
@@ -157,41 +168,24 @@ def test_path_sequence_reconstruction():
 # --- diameter-3 chains ---
 
 
-def test_diam3_chain_star_identity():
-    g = ColoredGraph.complete(5)
-    s = star(g, 2)
-    assert diam3_exchange_chain(s, s).replacements == 0
-
-
 def test_diam3_chain_double_star_to_adjacent_star():
     # S_{1,2} on 5 vertices: centre 0 holds leaf 2, centre 1 holds leaves 3,4
     g = ColoredGraph.complete(5)
-    s12 = EdgeSubgraph(g, [(0, 1), (0, 2), (1, 3), (1, 4)])
-    to_heavy = diam3_exchange_chain(s12, star(g, 1))
-    to_heavy.validate(Diam3Trees(g))
-    assert to_heavy.replacements == 1  # one leaf migrates
-    to_light = diam3_exchange_chain(s12, star(g, 0))
-    to_light.validate(Diam3Trees(g))
-    assert to_light.replacements == 2
-
-
-def test_diam3_chain_bound_k8():
-    rng = random.Random(9)
-    g = ColoredGraph.complete(8)
     kind = Diam3Trees(g)
-    for _ in range(150):
-        a, b = random_diam3(g, rng), random_diam3(g, rng)
-        chain = diam3_exchange_chain(a, b)
-        chain.validate(kind)
-        assert chain.replacements <= 2 * (8 - 2)
-        assert chain.steps[-1].edges == b.edges
+    s12 = EdgeSubgraph(g, [(0, 1), (0, 2), (1, 3), (1, 4)])
+    to_heavy = exchange_chain(kind, s12, star(g, 1))
+    to_heavy.validate(kind)
+    assert to_heavy.replacements == 1  # one leaf migrates
+    to_light = exchange_chain(kind, s12, star(g, 0))
+    to_light.validate(kind)
+    assert to_light.replacements == 2
 
 
 def test_diam3_chain_rejects_long_trees():
     g = ColoredGraph.complete(6)
     long_path = path_of(g, [0, 1, 2, 3, 4, 5])
     with pytest.raises(DomainError):
-        diam3_exchange_chain(long_path, star(g, 0))
+        exchange_chain(Diam3Trees(g), long_path, star(g, 0))
 
 
 # --- interpolation ---
@@ -285,19 +279,16 @@ def test_interpolated_chain_is_valid_sample():
                         break
                 if lo is None or hi is None:
                     continue
-                steps = []
-                z, reps = interpolate_traced(kind, lo, hi, collect=steps)
+                z, reps = interpolate_traced(kind, lo, hi)
                 assert abs(weight(z)) <= 1
                 assert weight(z) % 2 == (n - 1) % 2
-                ExchangeChain(tuple(steps)).validate(kind)
+                # lo is the lighter end, so the walk starts there
+                steps = exchange_chain(kind, lo, hi).steps[: reps + 1]
+                ExchangeChain(steps).validate(kind)
                 # the walk keeps its weight from the swaps alone: the member
                 # it stops at is the first the recounted weights call light
-                assert z == steps[-1] and reps == len(steps) - 1
+                assert z == steps[-1] and len(steps) == reps + 1
                 assert all(abs(weight(h)) > 1 for h in steps[:-1])
-                if isinstance(kind, Diam3Trees):
-                    assert reps <= 2 * (n - 2)
-                if isinstance(kind, HamiltonianPaths):
-                    assert reps <= 2 * (n - 1)
 
 
 # SHA-256 over the members of K_n in the order edge_sets() yields them,

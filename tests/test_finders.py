@@ -341,7 +341,7 @@ def test_path_finder_census_route_k7_with_oracle_cross_check():
         g = complete_from_mask(7, mask)
         report = find_zero_sum_spanning_path(g)
         assert report.found and report.weight == 0
-        members = {m.edges for m in enumerate_family(g, HamiltonianPaths(g))}
+        members = {m.edges for m in enumerate_family(HamiltonianPaths(g))}
         assert report.subgraph.edges in members
         found_census_route = True
     assert found_census_route
@@ -624,7 +624,7 @@ def test_diam3_finder_k9_with_oracle():
         g = complete_from_mask(9, mask)
         report = find_zero_sum_diam3_tree(g)
         assert report.found and report.weight == 0
-        members = {m.edges for m in enumerate_family(g, Diam3Trees(g))}
+        members = {m.edges for m in enumerate_family(Diam3Trees(g))}
         assert report.subgraph.edges in members
         checked += 1
     assert checked > 50

@@ -34,23 +34,23 @@ from zerosum.oracle import EnumerationBudget, enumerate_family, exhaustive_theor
 def test_spanning_tree_counts_match_enumeration():
     for n in range(2, 7):
         g = ColoredGraph.complete(n)
-        members = list(enumerate_family(g, SpanningTrees(g)))
+        members = list(enumerate_family(SpanningTrees(g)))
         assert len(members) == n ** (n - 2)
         assert len({m.edges for m in members}) == len(members)
 
 
 def test_k4_example_counts():
     g = ColoredGraph.complete(4)
-    assert len(list(enumerate_family(g, SpanningTrees(g)))) == 16
-    assert len(list(enumerate_family(g, HamiltonianPaths(g)))) == 12
+    assert len(list(enumerate_family(SpanningTrees(g)))) == 16
+    assert len(list(enumerate_family(HamiltonianPaths(g)))) == 12
     g6 = ColoredGraph.complete(6)
-    assert len(list(enumerate_family(g6, PerfectMatchings(g6)))) == 15
+    assert len(list(enumerate_family(PerfectMatchings(g6)))) == 15
 
 
 def test_diam3_enumeration_matches_closed_form():
     for n in range(3, 8):
         g = ColoredGraph.complete(n)
-        members = list(enumerate_family(g, Diam3Trees(g)))
+        members = list(enumerate_family(Diam3Trees(g)))
         assert len(members) == diam3_tree_count(n)
         assert len({m.edges for m in members}) == len(members)
         for m in members:
@@ -71,7 +71,7 @@ def test_generic_host_tree_enumeration_matches_kirchhoff():
         g = ColoredGraph(n, rows)
         if not g.is_connected():
             continue
-        members = list(enumerate_family(g, SpanningTrees(g)))
+        members = list(enumerate_family(SpanningTrees(g)))
         assert len(members) == spanning_tree_count(g)
         assert len({m.edges for m in members}) == len(members)
 
@@ -86,18 +86,18 @@ def test_count_formulas():
 def test_budget_refusal_names_requirement():
     g = ColoredGraph.complete(9)
     with pytest.raises(BudgetExceeded) as err:
-        enumerate_family(g, SpanningTrees(g))
+        enumerate_family(SpanningTrees(g))
     assert "max_spanning_trees" in str(err.value)
     assert f"{9**7:,}" in str(err.value)
     with pytest.raises(BudgetExceeded):
-        enumerate_family(ColoredGraph.complete(11), HamiltonianPaths(ColoredGraph.complete(11)))
+        enumerate_family(HamiltonianPaths(ColoredGraph.complete(11)))
 
 
 def test_budget_override_allows_more():
     g = ColoredGraph.complete(5)
     tight = EnumerationBudget(max_spanning_trees=10)
     with pytest.raises(BudgetExceeded):
-        enumerate_family(g, SpanningTrees(g), budget=tight)
+        enumerate_family(SpanningTrees(g), budget=tight)
 
 
 def test_budget_fields_positive():
@@ -632,7 +632,7 @@ def _star_of(g):
 
 def _heaviest_member(kind):
     def fake(g):
-        member = max(enumerate_family(g, kind(g)), key=lambda m: abs(weight(m)))
+        member = max(enumerate_family(kind(g)), key=lambda m: abs(weight(m)))
         assert abs(weight(member)) > 1
         return member.edges
 
@@ -903,7 +903,7 @@ def test_member_table_holds_every_member_once(theorem, n):
     kind = oracle._CHECKS[theorem].args[0](g)
     index = {e: i for i, e in enumerate(complete_edges(n))}
     masks = oracle._member_masks(n, kind.members)
-    assert masks == sorted(sum(1 << index[e] for e in m.edges) for m in enumerate_family(g, kind))
+    assert masks == sorted(sum(1 << index[e] for e in m.edges) for m in enumerate_family(kind))
     assert len(set(masks)) == kind.count()
 
 
@@ -1054,6 +1054,6 @@ def test_tree_scan_checks_the_interpolated_tree_itself(monkeypatch):
 
 def test_enumeration_streams_are_lazy_after_budget_check():
     g = ColoredGraph.complete(6)
-    stream = enumerate_family(g, SpanningTrees(g))
+    stream = enumerate_family(SpanningTrees(g))
     first = next(iter(stream))
     assert is_spanning_tree(first)

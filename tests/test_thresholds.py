@@ -127,17 +127,17 @@ def test_domain_errors():
 
 def test_master_verdict_condition1():
     g = ColoredGraph.complete_with_minus(6, [(0, 1), (0, 2)])
-    v = master_verdict(g, SpanningTrees(g))
+    v = master_verdict(SpanningTrees(g))
     assert v.condition1.holds and v.condition1.bound == 1
     assert v.m == 5 and v.c == 1
     # diameter-3 threshold is only an upper bound and says so
-    v3 = master_verdict(g, Diam3Trees(g))
+    v3 = master_verdict(Diam3Trees(g))
     assert v3.condition1.note == "upper bound"
 
 
 def test_master_verdict_condition2_all_plus_k8():
     g = ColoredGraph.complete(8)
-    v = master_verdict(g, HamiltonianPaths(g))
+    v = master_verdict(HamiltonianPaths(g))
     assert v.condition2 is not None
     assert v.condition2.bound == Fraction(12)
     assert not v.condition2.holds  # |f| = 28 is far beyond 12
@@ -147,7 +147,7 @@ def test_master_verdict_condition2_all_plus_k8():
 def test_master_verdict_condition3_balanced_k9():
     edges = complete_edges(9)
     g = complete_from_mask(9, (1 << 18) - 1)  # first 18 edges -1: |f| = 0
-    v = master_verdict(g, HamiltonianPaths(g))
+    v = master_verdict(HamiltonianPaths(g))
     assert v.condition3 is not None and v.condition3.holds
     assert v.condition3.bound == Fraction(12)
     assert v.condition2 is None
@@ -156,26 +156,19 @@ def test_master_verdict_condition3_balanced_k9():
 def test_master_verdict_strict_at_boundary():
     # |f(K_4)| = 6 and the path-decomposition bound is (2+1)/3*6 = 6: strict
     g = ColoredGraph.complete(4)
-    v = master_verdict(g, HamiltonianPaths(g))
+    v = master_verdict(HamiltonianPaths(g))
     assert v.condition2 is not None and v.condition2.bound == Fraction(6)
     assert not v.condition2.holds
 
 
 def test_master_verdict_decomposition_availability_for_diam3():
     g4 = ColoredGraph.complete(4)
-    assert master_verdict(g4, Diam3Trees(g4)).condition2 is not None  # P_4 has diameter 3
+    assert master_verdict(Diam3Trees(g4)).condition2 is not None  # P_4 has diameter 3
     g3 = ColoredGraph.complete(3)
-    assert master_verdict(g3, Diam3Trees(g3)).condition3 is not None
+    assert master_verdict(Diam3Trees(g3)).condition3 is not None
     g8 = ColoredGraph.complete(8)
-    v = master_verdict(g8, Diam3Trees(g8))
+    v = master_verdict(Diam3Trees(g8))
     assert v.condition2 is None and v.condition3 is None  # P_8 is too long
-
-
-def test_master_verdict_requires_matching_host():
-    g = ColoredGraph.complete(5)
-    other = ColoredGraph.complete_with_minus(5, [(0, 1)])
-    with pytest.raises(DomainError):
-        master_verdict(g, SpanningTrees(other))
 
 
 def _host_class_choices():

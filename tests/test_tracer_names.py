@@ -1,9 +1,11 @@
 """The benchmark's tracer (bench/spans.py) wraps zerosum functions by
-module and attribute name; a rename in the package would break it
-silently, so every name it patches is checked here."""
+module and attribute name, and the benchmark scripts read the package by
+attribute; a rename in the package would break them silently, so every
+name they use is checked here."""
 
 import ast
 import runpy
+from functools import reduce
 from pathlib import Path
 
 import zerosum
@@ -52,3 +54,25 @@ def test_every_unused_import_is_traced():
                     unused.append((path.stem, name))
                     assert "# noqa: F401" in lines[alias.lineno - 1], (path.name, name)
     assert [entry for entry in unused if entry not in traced] == []
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    # bench/*.py reads the package as zs and zerosum.extremal as ex; every
+    # attribute chain it writes from either must resolve, so a rename fails
+    # here before it fails the benchmark
+    roots = {"zs": zerosum, "ex": zerosum.extremal}
+    missing = []
+    chains = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            while isinstance(node, ast.Attribute):
+                names.append(node.attr)
+                node = node.value
+            if names and isinstance(node, ast.Name) and node.id in roots:
+                chain = (node.id, *reversed(names))
+                chains.add(chain)
+                obj = reduce(lambda o, name: getattr(o, name, None), chain[1:], roots[node.id])
+                if obj is None:
+                    missing.append(".".join(chain))
+    assert chains and missing == []
