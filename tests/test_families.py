@@ -168,6 +168,12 @@ def test_path_sequence_reconstruction():
 # --- diameter-3 chains ---
 
 
+def test_diam3_chain_star_identity():
+    g = ColoredGraph.complete(5)
+    s = star(g, 2)
+    assert exchange_chain(Diam3Trees(g), s, s).replacements == 0
+
+
 def test_diam3_chain_double_star_to_adjacent_star():
     # S_{1,2} on 5 vertices: centre 0 holds leaf 2, centre 1 holds leaves 3,4
     g = ColoredGraph.complete(5)
@@ -179,6 +185,18 @@ def test_diam3_chain_double_star_to_adjacent_star():
     to_light = exchange_chain(kind, s12, star(g, 0))
     to_light.validate(kind)
     assert to_light.replacements == 2
+
+
+def test_diam3_chain_bound_k8():
+    rng = random.Random(9)
+    g = ColoredGraph.complete(8)
+    kind = Diam3Trees(g)
+    for _ in range(150):
+        a, b = random_diam3(g, rng), random_diam3(g, rng)
+        chain = exchange_chain(kind, a, b)
+        chain.validate(kind)
+        assert chain.replacements <= 2 * (8 - 2)
+        assert chain.steps[-1].edges == b.edges
 
 
 def test_diam3_chain_rejects_long_trees():
