@@ -3,7 +3,8 @@
 Enumerates whole families (spanning trees, Hamiltonian paths, diameter-3
 trees, perfect matchings) and iterates entire colouring spaces as sign
 bitmasks over the canonical edge order.  Each theorem has one check,
-built once per call, that one loop runs on every colouring meeting the
+built once per call over tables of members or vertex pairs built once
+per process, that one loop runs on every colouring meeting the
 hypothesis, handing it the mask alone.  Every check runs the finder's
 own search on the one form of the colouring it needs: the mask, the
 edges of its bits, or, for the diam3 and connected checks only, its
@@ -17,8 +18,9 @@ signs against the mask), and only to word a refusal tests whether one
 exists.
 
 Enumerations refuse instead of sampling when a budget would be
-exceeded.  Colouring ranges shard cleanly: shards share nothing and
-their reports merge associatively.
+exceeded; the budget is checked once per call, also where a table is
+already kept.  Colouring ranges shard cleanly: shards share only those
+immutable tables, and their reports merge associatively.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import time
 from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import zip_longest
 from multiprocessing import get_context
 from typing import Iterator, Optional, Union
@@ -134,11 +136,13 @@ def _edge_bits(n: int) -> list[list[int]]:
     return bit
 
 
-def _member_masks(n: int, members) -> list[int]:
+@lru_cache(maxsize=4)
+def _member_masks(n: int, members) -> tuple[int, ...]:
     """The masks of all members of a family of K_n, n >= 2, members(n,
     table) yielding each one's edges uv as table[u][v] of the edge-bit
-    table; sorted, so that the family check tests membership by bisection."""
-    return sorted(sum(bits) for bits in members(n, _edge_bits(n)))
+    table; sorted, so that the family check tests membership by bisection,
+    and kept for the process as a tuple that no caller can change."""
+    return tuple(sorted(sum(bits) for bits in members(n, _edge_bits(n))))
 
 
 def _census_met(theorem: str, n: int) -> list[bool]:
@@ -215,7 +219,8 @@ def _sorted(values):
 
 def _family_table(kind, candidates, n: int, budget: EnumerationBudget):
     """The check of a family theorem on K_n over the sorted masks of all
-    members of kind, refused over budget from their closed-form count, and
+    members of kind, refused over budget from their closed-form count on
+    every call, also where the masks are already kept, and
     candidates(n): (name, edges) pairs in the order tried, edges(mask) the
     edges a search hands over for the colouring of that mask, or None."""
     budget.require(kind.budget_field, kind.complete_count(n), "members to enumerate")
@@ -266,17 +271,26 @@ def _short_path_masks(n: int, bit, x: int, y: int):
     (f(xu) = f(uy)), so x-a-b-c-y and its mirror x-c-b-a-y carry equally
     many -1 edges."""
     others = [u for u in range(n) if u not in (x, y)]
-    masks2 = [bit[x][u] | bit[u][y] for u in others]
-    masks4 = []
-    for a in others:
-        for c in others:
-            if c <= a:
-                continue
-            for b in others:
-                if b in (a, c):
-                    continue
-                masks4.append(bit[x][a] | bit[a][b] | bit[b][c] | bit[c][y])
+    masks2 = tuple(bit[x][u] | bit[u][y] for u in others)
+    masks4 = tuple(
+        bit[x][a] | bit[a][b] | bit[b][c] | bit[c][y]
+        for a in others
+        for c in others
+        if a < c
+        for b in others
+        if b != a and b != c
+    )
     return masks2, masks4
+
+
+@lru_cache(maxsize=4)
+def _pair_masks(n: int) -> tuple:
+    """(x, y, masks2, masks4) for every vertex pair x < y of K_n, in order,
+    masks2 and masks4 its _short_path_masks; kept for the process."""
+    bit = _edge_bits(n)
+    return tuple(
+        (x, y, *_short_path_masks(n, bit, x, y)) for x in range(n) for y in range(x + 1, n)
+    )
 
 
 def _has_short_path(mask: int, masks2, masks4) -> bool:
@@ -294,13 +308,11 @@ def _connected_table(n: int, budget: EnumerationBudget):
     between the oracle's own vertex pairs x < y and be zero-sum in the
     colouring, as read from the mask through the edge-bit table: a pair
     skipped, repeated or swapped fails at the path ends, an early end at
-    the fill value ().  A pair's _short_path_masks, refused over
-    max_paths before any is built, only word a refusal."""
+    the fill value ().  The pairs' _pair_masks, refused over max_paths on
+    every call before they are built or read, only word a refusal."""
     _require_path_masks(n, binomial(n, 2), budget)
+    pair_masks = _pair_masks(n)
     bit = _edge_bits(n)
-    pair_masks = [
-        (x, y, *_short_path_masks(n, bit, x, y)) for x in range(n) for y in range(x + 1, n)
-    ]
     # the finder's search, run on the followed -1 rows; its answers are
     # then checked here against the mask alone, so the finder is trusted
     # for nothing, not even to leave the rows it reads as they were
@@ -431,7 +443,9 @@ def exhaustive_theorem_check(
         raise DomainError(f"shard [{stated(lo)},{stated(hi)}) outside colouring space [0,2^{m})")
     budget.require("max_colorings", hi - lo, "colourings to check")
     start = time.perf_counter()
-    # one table a call, built here, before any pool: its workers inherit it
+    # the budget checks and the check, once per call, here and before any
+    # pool, over member and pair tables built once per process: the pool's
+    # workers inherit both
     check = _CHECKS[theorem](n, budget)
     table = _census_met(theorem, n), check
     jobs = min(jobs, os.cpu_count() or 1)

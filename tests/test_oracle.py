@@ -297,6 +297,82 @@ def test_family_table_is_built_once_in_the_parent(monkeypatch):
     assert (multi.hypothesis_met, multi.confirmed) == (single.hypothesis_met, single.confirmed)
 
 
+@pytest.mark.parametrize(
+    "theorem, tight, cache",
+    [
+        ("tree", EnumerationBudget(max_spanning_trees=16_806), oracle._member_masks),
+        ("diam3", EnumerationBudget(max_spanning_trees=636), oracle._member_masks),
+        ("path-census", EnumerationBudget(max_paths=2_519), oracle._member_masks),
+        ("connected", EnumerationBudget(max_paths=629), oracle._pair_masks),
+    ],
+    ids=["tree", "diam3", "path-census", "connected"],
+)
+def test_a_kept_table_is_still_refused_over_budget(theorem, tight, cache):
+    # the default budget admits the K_7 table and keeps it; a budget one
+    # short of it is refused on the next call all the same, before the
+    # kept table is even looked up
+    assert exhaustive_theorem_check(theorem, 7, shard=(0, 1)).colourings == 1
+    kept = cache.cache_info()
+    assert kept.currsize > 0
+    with pytest.raises(BudgetExceeded):
+        exhaustive_theorem_check(theorem, 7, tight, shard=(0, 1))
+    assert cache.cache_info() == kept
+
+
+@pytest.mark.parametrize(
+    "theorem, cache",
+    [("tree", oracle._member_masks), ("connected", oracle._pair_masks)],
+    ids=["tree", "connected"],
+)
+def test_a_sharded_sweep_builds_each_table_once(theorem, cache):
+    cache.cache_clear()
+    for shard in [(0, 4096), (4096, 8192)]:
+        assert exhaustive_theorem_check(theorem, 6, shard=shard).hypothesis_met > 0
+    info = cache.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "theorem, search",
+    [
+        ("tree", "_tree_seed"),
+        ("diam3", "_diam3_tree"),
+        ("path-census", "_spanning_path"),
+        ("connected", "_short_zero_sum_paths"),
+    ],
+)
+def test_a_kept_table_gives_the_report_of_a_fresh_build(theorem, search, monkeypatch):
+    # every 7th answer of the finder's search (of the all-pairs search, one
+    # pair's path in it) is dropped, so that the reports hold refusals
+    # worded by the table's own existence test as well as confirmations
+    real = getattr(finders, search)
+    shards = [(0, 2048), (3 << 13, (3 << 13) + 2048), ((1 << 15) - 2048, 1 << 15)]
+
+    def reports():
+        calls = itertools.count()
+
+        def dropping(*args):
+            answer = real(*args)
+            if next(calls) % 7:
+                return answer
+            if search == "_short_zero_sum_paths":
+                return [None if i == 3 else path for i, path in enumerate(answer)]
+            return None
+
+        monkeypatch.setattr(finders, search, dropping)
+        return [exhaustive_theorem_check(theorem, 6, shard=shard) for shard in shards]
+
+    exhaustive_theorem_check(theorem, 6, shard=(0, 1))
+    kept = reports()
+    for name in ("_member_masks", "_pair_masks"):
+        monkeypatch.setattr(oracle, name, getattr(oracle, name).__wrapped__)
+    fresh = reports()
+    assert kept == fresh
+    assert 0 < sum(len(report.counterexamples) for report in kept) < sum(
+        report.hypothesis_met for report in kept
+    )
+
+
 def test_connected_n5_finds_the_known_counterexample():
     # below the theorem's n >= 6 domain the census bound is attainable yet
     # insufficient: the -1 triangle colouring must surface as a counterexample
@@ -903,8 +979,12 @@ def test_member_table_holds_every_member_once(theorem, n):
     kind = oracle._CHECKS[theorem].args[0](g)
     index = {e: i for i, e in enumerate(complete_edges(n))}
     masks = oracle._member_masks(n, kind.members)
-    assert masks == sorted(sum(1 << index[e] for e in m.edges) for m in enumerate_family(kind))
+    assert masks == tuple(
+        sorted(sum(1 << index[e] for e in m.edges) for m in enumerate_family(kind))
+    )
     assert len(set(masks)) == kind.count()
+    # kept for the process: a second call hands back the same table
+    assert oracle._member_masks(n, kind.members) is masks
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
