@@ -42,6 +42,7 @@ from .graphs import (
     adjacency,
     binomial,
     canonical_edge,
+    greedy_forest,
     is_diam3_tree,
     is_hamiltonian_path,
     is_matching,
@@ -89,11 +90,10 @@ def _tree_chain(n: int, from_edges, to_edges) -> Iterator[tuple]:
         cur.discard(e)
         # any target edge joining the two components of the tree minus e
         # restores a spanning tree and strictly shrinks the symmetric
-        # difference
+        # difference; the first such edge in sorted order is the smallest
         uf = UnionFind(n)
-        for u, v in cur:
-            uf.union(u, v)
-        swap_in = min(f for f in target - cur if uf.find(f[0]) != uf.find(f[1]))
+        greedy_forest(uf, cur, n)
+        (swap_in,) = greedy_forest(uf, sorted(target - cur), 1)
         cur.add(swap_in)
         yield e, swap_in
 

@@ -49,37 +49,33 @@ def adjacency(n: int, edges) -> list[list[int]]:
 
 
 class UnionFind:
-    """Array-based disjoint sets with path halving; used for forest tests."""
+    """The parent array of disjoint sets over 0..n-1, each vertex its own
+    set at first.  greedy_forest is the only code that walks or merges it."""
 
     __slots__ = ("parent",)
 
     def __init__(self, n: int):
         self.parent = list(range(n))
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of a and b; False if they were already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
 
 def greedy_forest(uf: UnionFind, edges, limit: int) -> list:
     """The edges, in the order given, that each merge two sets of uf (which
-    they then merge), stopping once limit of them are taken."""
+    they then merge), stopping once limit of them are taken.
+
+    The one union-find kernel: it climbs uf.parent from both ends of an
+    edge itself, with path halving, and hangs the second end's root under
+    the first's, so an edge costs no method call."""
     chosen = []
     if limit > 0:
-        union = uf.union
+        p = uf.parent
         for e in edges:
-            if union(*e):
+            a, b = e
+            while p[a] != a:
+                p[a] = a = p[p[a]]
+            while p[b] != b:
+                p[b] = b = p[p[b]]
+            if a != b:
+                p[b] = a
                 chosen.append(e)
                 if len(chosen) == limit:
                     break
@@ -276,8 +272,8 @@ def weight(h: EdgeSubgraph) -> int:
 
 
 def is_forest(h: EdgeSubgraph) -> bool:
-    uf = UnionFind(h.host.n)
-    return all(uf.union(u, v) for u, v in h.edges)
+    edges = h.edges
+    return len(greedy_forest(UnionFind(h.host.n), edges, len(edges))) == len(edges)
 
 
 def is_spanning_tree(h: EdgeSubgraph) -> bool:
@@ -285,17 +281,13 @@ def is_spanning_tree(h: EdgeSubgraph) -> bool:
 
 
 def is_linear_forest(h: EdgeSubgraph) -> bool:
-    """True when the edges form vertex-disjoint paths: no vertex of degree
-    above 2 and no cycle, decided in one pass."""
-    n = h.host.n
-    deg = [0] * n
-    uf = UnionFind(n)
+    """True when the edges form vertex-disjoint paths: a degree pass finds
+    no vertex of degree above 2, and is_forest no cycle."""
+    deg = [0] * h.host.n
     for u, v in h.edges:
         deg[u] += 1
         deg[v] += 1
-        if deg[u] > 2 or deg[v] > 2 or not uf.union(u, v):
-            return False
-    return True
+    return max(deg, default=0) <= 2 and is_forest(h)
 
 
 def is_hamiltonian_path(h: EdgeSubgraph) -> bool:

@@ -112,14 +112,36 @@ def test_tree_chain_disjoint_trees_k6():
         assert len(a.edges - b.edges) == 1 and len(b.edges - a.edges) == 1
 
 
+def _reached(edges, start):
+    """The vertices joined to start through edges, by breadth-first search."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [
+            w for v in frontier for e in edges if v in e for w in e if w not in seen
+        ]
+        seen.update(frontier)
+    return seen
+
+
 def test_tree_chain_replacement_count_is_symmetric_difference():
+    # the swap rule, pinned independently of union-find: each step drops the
+    # smallest edge the target lacks and adds the smallest target edge that
+    # joins the two components left
     rng = random.Random(2)
-    g = ColoredGraph.complete(7)
-    for _ in range(40):
-        a, b = random_tree(g, rng), random_tree(g, rng)
-        chain = exchange_chain(SpanningTrees(g), a, b)
-        chain.validate(SpanningTrees(g))
-        assert chain.replacements == len(a.edges - b.edges)
+    for n in (7, 2, 5, 12, 40):
+        g = ColoredGraph.complete(n)
+        for _ in range(40 if n <= 12 else 10):
+            a, b = random_tree(g, rng), random_tree(g, rng)
+            chain = exchange_chain(SpanningTrees(g), a, b)
+            chain.validate(SpanningTrees(g))
+            assert chain.replacements == len(a.edges - b.edges)
+            for before, after in zip(chain.steps, chain.steps[1:]):
+                (out,) = before.edges - after.edges
+                (into,) = after.edges - before.edges
+                assert out == min(before.edges - b.edges)
+                rest = before.edges - {out}
+                side = _reached(rest, out[0])
+                assert into == min(f for f in b.edges if (f[0] in side) != (f[1] in side))
 
 
 def test_tree_chain_rejects_non_trees():

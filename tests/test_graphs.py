@@ -155,6 +155,21 @@ def test_structural_predicates():
         tree_diameter(EdgeSubgraph(g, [(0, 1)]))
 
 
+def _component_count(n, edges):
+    """Components of the graph on n vertices, by label propagation: every
+    vertex ends with the smallest vertex label of its component."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            low = min(label[u], label[v])
+            if label[u] != low or label[v] != low:
+                label[u] = label[v] = low
+                changed = True
+    return len(set(label))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_one_pass_member_tests_match_their_definitions(n):
     g = ColoredGraph.complete(n)
@@ -164,6 +179,11 @@ def test_one_pass_member_tests_match_their_definitions(n):
         h = EdgeSubgraph._unchecked(
             g, frozenset(e for i, e in enumerate(edges) if (mask >> i) & 1)
         )
+        # acyclic: each component of c vertices has c-1 edges
+        acyclic = len(h.edges) == n - _component_count(n, h.edges)
+        degrees = [sum(v in e for e in h.edges) for v in range(n)]
+        assert is_forest(h) == acyclic, sorted(h.edges)
+        assert is_linear_forest(h) == (acyclic and max(degrees, default=0) <= 2), sorted(h.edges)
         tree = is_spanning_tree(h)
         diam3 = tree and tree_diameter(h) <= 3
         path = tree and is_linear_forest(h)
@@ -303,6 +323,14 @@ def test_is_connected_of_a_complete_host_runs_no_union_find(monkeypatch):
 
 
 
+def _joined(uf, u, v):
+    """Whether uf joins u and v: a one-edge greedy_forest call on a copy
+    takes nothing."""
+    copy = UnionFind(len(uf.parent))
+    copy.parent = list(uf.parent)
+    return greedy_forest(copy, [(u, v)], 1) == []
+
+
 def test_greedy_forest_takes_merging_edges_in_order_up_to_the_limit():
     edges = [(3, 4), (0, 1), (1, 3), (0, 4), (2, 5), (0, 3)]
     # the given order is kept; (0,4) and (0,3) close cycles and are skipped
@@ -312,9 +340,21 @@ def test_greedy_forest_takes_merging_edges_in_order_up_to_the_limit():
     assert uf.parent == list(range(6))
     # stops at the limit, with only the taken edges merged
     assert greedy_forest(uf, edges, 2) == [(3, 4), (0, 1)]
-    assert uf.find(0) == uf.find(1) and uf.find(3) == uf.find(4)
-    assert uf.find(1) != uf.find(3)
+    assert _joined(uf, 0, 1) and _joined(uf, 3, 4)
+    assert not _joined(uf, 1, 3)
     # sets the union-find already joins count as one
     uf = UnionFind(6)
-    uf.union(0, 4)
+    assert greedy_forest(uf, [(0, 4)], 1) == [(0, 4)]
     assert greedy_forest(uf, edges, 10) == [(3, 4), (0, 1), (2, 5)]
+    # each taken edge hangs its second end's root under its first end's
+    # root, so these chains put 1 and 5 three parents below their roots
+    uf = UnionFind(8)
+    chains = [(0, 1), (2, 0), (3, 2), (4, 5), (6, 4), (7, 6)]
+    assert greedy_forest(uf, chains, 10) == chains
+    assert uf.parent == [2, 0, 3, 3, 6, 4, 7, 7]
+    # (1,5) climbs both chains, halving each path, and merges the roots
+    assert greedy_forest(uf, [(1, 5)], 10) == [(1, 5)]
+    assert uf.parent == [2, 2, 3, 3, 6, 6, 7, 3]
+    # now (5,1) and (0,6) close cycles and are skipped
+    assert greedy_forest(uf, [(5, 1), (0, 6)], 10) == []
+    assert all(_joined(uf, 0, v) for v in range(1, 8))
