@@ -7,7 +7,11 @@ in one form, so that the oracle runs it on what it reads off a colouring
 mask: the tree search edge streams, as it serves any host; the path
 search the mask (bit i set when canonical edge i is -1); the diameter-3
 and short-path searches (_diam3_tree, _short_zero_sum_path and
-_short_zero_sum_paths) per-vertex -1 masks.  The tree and path searches
+_short_zero_sum_paths) per-vertex -1 masks.  The all-pairs short-path
+search returns a new list of vertex tuples, reading each pair's x-u-y
+answer from a table kept per order (_pair_answers: per pair the mask of
+the other vertices and a dict from a split's lowest bit to its prebuilt
+tuple, C(n,2)(n-1) answers, 3,610 at n = 20).  The tree and path searches
 settle seeds (_tree_seed; _spanning_path) in one step (_settle): a light
 seed directly, otherwise the member the exchange-chain walk from the
 lightest seed to the heaviest stops at, reading edge colours through
@@ -17,6 +21,7 @@ sign(e).  Every successful report is re-validated against the host signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .decompositions import (
@@ -526,21 +531,40 @@ def _short_zero_sum_path(minus, n: int, x: int, y: int) -> Optional[tuple[str, l
     return None
 
 
-def _short_zero_sum_paths(minus, n: int):
-    """The paths of _short_zero_sum_path for every vertex pair x < y of
-    K_n, lexicographically: its vertex list, or None where it finds no
-    path.  Most pairs have a zero-sum x-u-y, read here from one xor; only
-    the others run the per-pair search."""
+@lru_cache(maxsize=4)
+def _pair_answers(n: int) -> tuple:
+    """(x, y, others, answers) for every vertex pair x < y of K_n, in
+    order: others the mask of the other n-2 vertices, answers the map from
+    the lowest bit 1 << u of a split to the path (x, u, y), and from 0 to
+    None.  C(n,2)(n-1) entries, kept for the process."""
     full = (1 << n) - 1
+    table = []
     for x in range(n):
-        mx = minus[x]
-        rest = full ^ (1 << x)
         for y in range(x + 1, n):
-            split = (mx ^ minus[y]) & (rest ^ (1 << y))
-            if split:
-                yield [x, (split & -split).bit_length() - 1, y]
-            else:
-                yield (_short_zero_sum_path(minus, n, x, y) or (None, None))[1]
+            answers = {1 << u: (x, u, y) for u in range(n) if u != x and u != y}
+            answers[0] = None
+            table.append((x, y, full ^ (1 << x) ^ (1 << y), answers))
+    return tuple(table)
+
+
+def _long_answer(minus, n: int, x: int, y: int) -> Optional[tuple]:
+    """The vertices of the path _short_zero_sum_path finds, as a tuple, or None."""
+    found = _short_zero_sum_path(minus, n, x, y)
+    return found and tuple(found[1])
+
+
+def _short_zero_sum_paths(minus, n: int) -> list:
+    """The paths of _short_zero_sum_path for every vertex pair x < y of
+    K_n, lexicographically, in a new list: its vertex tuple, or None where
+    it finds no path.  Most pairs have a zero-sum x-u-y, u the lowest
+    vertex that sees x and y with opposite signs, which is read from one
+    xor and one lookup in the kept _pair_answers; only the others run the
+    per-pair search."""
+    return [
+        answers[(split := (minus[x] ^ minus[y]) & others) & -split]
+        or _long_answer(minus, n, x, y)
+        for x, y, others, answers in _pair_answers(n)
+    ]
 
 
 def find_zero_sum_path_leq4(g: ColoredGraph, x: int, y: int) -> FindReport:
@@ -553,7 +577,7 @@ def find_zero_sum_path_leq4(g: ColoredGraph, x: int, y: int) -> FindReport:
     if not g.is_complete:
         raise DomainError("host must be complete")
     n = g.n
-    if not (0 <= x < n and 0 <= y < n) or x == y:
+    if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < n and 0 <= y < n) or x == y:
         raise DomainError(f"invalid vertex pair ({x},{y})")
     met, text = GUARANTEES["connected", "complete"].condition(n, census(g).minimum)
     hyp = f"{text}: " + ("met" if met else "not met")

@@ -14,7 +14,9 @@ is built into a graph.  The searches hand over edges or paths only, and
 each check has one shape: it tests the finder's member (a family check
 against the oracle's own table of members and the mask; the connected
 check each path's ends against its own list of vertex pairs and its
-signs against the mask), and only to word a refusal tests whether one
+signs against the mask, an x-u-y path by one read of the pair's two[u],
+the mask of edges xu and uy, n entries a pair, kept apart from the
+finder's own table), and only to word a refusal tests whether one
 exists.
 
 Enumerations refuse instead of sampling when a budget would be
@@ -285,11 +287,20 @@ def _short_path_masks(n: int, bit, x: int, y: int):
 
 @lru_cache(maxsize=4)
 def _pair_masks(n: int) -> tuple:
-    """(x, y, masks2, masks4) for every vertex pair x < y of K_n, in order,
-    masks2 and masks4 its _short_path_masks; kept for the process."""
+    """(x, y, two, masks2, masks4) for every vertex pair x < y of K_n, in
+    order: two[u] the mask of edges xu and uy for each vertex u, 0 for
+    u = x and u = y; masks2 and masks4 its _short_path_masks.  Kept for
+    the process."""
     bit = _edge_bits(n)
     return tuple(
-        (x, y, *_short_path_masks(n, bit, x, y)) for x in range(n) for y in range(x + 1, n)
+        (
+            x,
+            y,
+            tuple(0 if u in (x, y) else bit[x][u] | bit[u][y] for u in range(n)),
+            *_short_path_masks(n, bit, x, y),
+        )
+        for x in range(n)
+        for y in range(x + 1, n)
     )
 
 
@@ -323,7 +334,7 @@ def _connected_table(n: int, budget: EnumerationBudget):
         for pair, path in zip_longest(pair_masks, search(rows(mask), n), fillvalue=()):
             if not pair:
                 return {"pair": None, "reason": f"finder failed: answer {path} past the last pair"}
-            x, y, masks2, masks4 = pair
+            x, y, two, masks2, masks4 = pair
             if path is None:
                 if _has_short_path(mask, masks2, masks4):
                     reason = "finder failed: no zero-sum path of length <= 4"
@@ -332,16 +343,12 @@ def _connected_table(n: int, budget: EnumerationBudget):
                 break
             try:
                 if len(path) == 3:
-                    # x-u-y is zero-sum iff u sees x and y with opposite signs
-                    u = path[1]
-                    if (
-                        path[0] == x
-                        and path[2] == y
-                        and 0 <= u < n
-                        and u != x
-                        and u != y
-                        and (mask & (bit[x][u] | bit[u][y])).bit_count() == 1
-                    ):
+                    # x-u-y is zero-sum iff u sees x and y with opposite
+                    # signs; two[u] is 0 for u an end, past n-1 it raises
+                    # IndexError, and u >= 0 keeps a negative u from
+                    # wrapping round to a vertex
+                    a, u, b = path
+                    if a == x and b == y and u >= 0 and (mask & two[u]).bit_count() == 1:
                         continue
                 elif (
                     # x..y with 4 edges, distinct vertices of K_n, two of them -1

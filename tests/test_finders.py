@@ -715,12 +715,55 @@ def test_path_leq4_packages_the_mask_search_alone():
 def test_all_pairs_search_answers_as_the_per_pair_search(n, step):
     for mask in range(0, 1 << binomial(n, 2), step):
         minus = complete_from_mask(n, mask).minus_masks()
-        expected = [
-            (_short_zero_sum_path(minus, n, x, y) or (None, None))[1]
-            for x in range(n)
-            for y in range(x + 1, n)
-        ]
+        expected = _per_pair_answers(minus, n)
         assert list(_short_zero_sum_paths(minus, n)) == expected
+
+
+def _per_pair_answers(minus, n):
+    """The per-pair search's paths for every pair x < y, in order, as the
+    all-pairs search gives them: a vertex tuple, or None."""
+    answers = []
+    for x, y in itertools.combinations(range(n), 2):
+        found = _short_zero_sum_path(minus, n, x, y)
+        answers.append(None if found is None else tuple(found[1]))
+    return answers
+
+
+def test_all_pairs_search_answers_as_the_per_pair_search_at_larger_n():
+    # 200 seeded masks of K_8, then random ones of K_9..K_12, each with a
+    # few -1 edges too, so that pairs with no zero-sum x-u-y turn up
+    rng = random.Random(8)
+    masks = [(8, rng.getrandbits(28)) for _ in range(200)]
+    for n in range(9, 13):
+        m = binomial(n, 2)
+        masks += [(n, rng.getrandbits(m)) for _ in range(40)]
+        masks += [(n, sum(1 << rng.randrange(m) for _ in range(n // 2))) for _ in range(40)]
+    long_pairs = 0
+    for n, mask in masks:
+        minus = complete_from_mask(n, mask).minus_masks()
+        expected = _per_pair_answers(minus, n)
+        assert _short_zero_sum_paths(minus, n) == expected
+        long_pairs += sum(path is not None and len(path) == 5 for path in expected)
+    assert long_pairs > 0
+
+
+def test_all_pairs_search_keeps_one_bounded_answer_table():
+    # one table per order, reused by the next call; its answers number
+    # at most n a pair (one per middle vertex and one for no split), so a
+    # table indexed by the whole split, 2^n a pair, would fail here
+    table = finders._pair_answers
+    table.cache_clear()
+    minus = complete_from_mask(7, 0b1011001110001).minus_masks()
+    first = _short_zero_sum_paths(minus, 7)
+    assert _short_zero_sum_paths(minus, 7) == first
+    info = table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    answers = sum(len(entry[3]) for entry in table(20))
+    assert 0 < answers <= binomial(20, 2) * 20
+    # a caller that edits the list it was handed changes no later answer
+    first[0] = "edited"
+    first[1:] = []
+    assert _short_zero_sum_paths(minus, 7) == _per_pair_answers(minus, 7)
 
 
 def _minus_count(minus, path):
@@ -789,6 +832,14 @@ def test_path_leq4_input_validation():
         find_zero_sum_path_leq4(g, 0, 0)
     with pytest.raises(DomainError):
         find_zero_sum_path_leq4(g, 0, 6)
+
+
+@pytest.mark.parametrize("x, y", [(0.5, 1), (1.0, 2), (0, 2.0), ("0", 1)])
+def test_path_leq4_refuses_a_vertex_that_is_no_int(x, y):
+    # in range by value, but no vertex: refused as an out-of-range one is
+    g = ColoredGraph.complete(6)
+    with pytest.raises(DomainError, match=r"invalid vertex pair"):
+        find_zero_sum_path_leq4(g, x, y)
 
 
 # --- matching probe ---

@@ -579,6 +579,29 @@ def test_connected_scan_refuses_a_length_two_path_off_the_pairs_others(monkeypat
         assert (ce["pair"], ce["reason"]) == ([x, y], _not_a_path(fake_path(6, x, y), x, y))
 
 
+@pytest.mark.parametrize("middle", ["float", "past-the-negatives", "twice-n"])
+def test_connected_scan_refuses_a_middle_vertex_no_table_index_may_pass(monkeypatch, middle):
+    # as above, at the first pair whose edge xy is -1: a middle vertex equal
+    # to a real one but no int, one below -n, which would index a real
+    # vertex's entry from the end, and one at 2n, past every entry
+    def fake_path(n, x, y):
+        return [x, {"float": 1.0, "past-the-negatives": -n - 1, "twice-n": 2 * n}[middle], y]
+
+    def fake(minus, n):
+        answers = list(_all_pairs(minus, n))
+        i, x, y = _first_minus_pair(minus, n)
+        answers[i] = fake_path(n, x, y)
+        return answers
+
+    monkeypatch.setattr(finders, "_short_zero_sum_paths", fake)
+    report = exhaustive_theorem_check("connected", 6, shard=(12345, 12345 + 64))
+    assert report.hypothesis_met > 0 and report.confirmed == 0
+    assert len(report.counterexamples) == report.hypothesis_met
+    for ce in report.counterexamples:
+        _, x, y = _first_minus_pair(_minus_of(ce["mask"]), 6)
+        assert (ce["pair"], ce["reason"]) == ([x, y], _not_a_path(fake_path(6, x, y), x, y))
+
+
 def test_connected_scan_calls_the_search_once_per_met_colouring(monkeypatch):
     calls = []
 
@@ -596,7 +619,7 @@ def _is_zero_sum_path(minus, n, x, y, path):
     """Whether path is an x..y path of K_n of length 2 or 4, half its
     edges -1 in the colouring of the -1 masks minus."""
     return (
-        isinstance(path, list)
+        isinstance(path, (list, tuple))
         and len(path) in (3, 5)
         and (path[0], path[-1]) == (x, y)
         and len(set(path)) == len(path)
